@@ -19,6 +19,8 @@
 // short-window variant of exactly this binary; see results/BENCH_engine
 // .json's `large_n_implicit` record for a full-window reference run.
 //
+// Set WORMSIM_PROFILE=1 to also print the engine phase profile.
+//
 // Usage: large_n_smoke [--radix=8] [--stages=7] [--load=1.0]
 //                      [--length=32] [--warmup=400] [--measure=1200]
 //                      [--drain=200] [--engine-threads=1]
@@ -33,6 +35,7 @@
 #include "analysis/analytical.hpp"
 #include "routing/router.hpp"
 #include "sim/engine.hpp"
+#include "telemetry/profiler.hpp"
 #include "topology/implicit.hpp"
 #include "topology/net_view.hpp"
 #include "traffic/workload.hpp"
@@ -140,6 +143,23 @@ int main(int argc, char** argv) {
                   result.delivered_messages_total));
   std::printf("peak rss %.0f MiB (budget %lld MiB)\n", rss,
               static_cast<long long>(rss_budget_mb));
+  // WORMSIM_PROFILE=1 (or a profiled config) attributes the run's wall
+  // time to the engine phases; show where it went.
+  const telemetry::PhaseProfile& profile = result.phase_profile;
+  if (profile.enabled) {
+    const double attributed = profile.attributed_seconds();
+    std::printf("engine phase profile (%.3f s run, coverage %.1f%%):\n",
+                profile.total_seconds, profile.coverage() * 100.0);
+    for (std::size_t i = 0; i < telemetry::kEnginePhaseCount; ++i) {
+      if (profile.seconds[i] == 0.0) continue;
+      std::printf("  %-15s %9.3f s  %5.1f%%\n",
+                  telemetry::engine_phase_name(
+                      static_cast<telemetry::EnginePhase>(i)),
+                  profile.seconds[i],
+                  attributed > 0.0 ? profile.seconds[i] / attributed * 100.0
+                                   : 0.0);
+    }
+  }
 
   bool ok = true;
   if (rss > static_cast<double>(rss_budget_mb)) {

@@ -79,6 +79,7 @@ Engine::Engine(const topology::NetView& network,
   network_.for_each_channel([&](const PhysChannel& ch) {
     ch_first_lane_[ch.id] = ch.first_lane;
     ch_num_lanes_[ch.id] = static_cast<std::uint8_t>(ch.num_lanes);
+    multi_lane_ = multi_lane_ || ch.num_lanes > 1;
     if (ch.src.is_node()) {
       ch_src_node_[ch.id] = static_cast<std::uint32_t>(ch.src.id);
     }
@@ -169,6 +170,15 @@ Engine::Engine(const topology::NetView& network,
       std::max<std::uint32_t>(1, static_cast<std::uint32_t>(
                                      seed_bits_.word_count())));
   engine_threads_ = std::max(1u, threads);
+  // One consumer-first pass per cycle replaces the fixpoint where a pop
+  // returns its credit inline — the case in which the fixpoint needs many
+  // passes — on a feed-forward network with a sequential advance
+  // (DESIGN.md §7).  Only multi-lane round-robin picks need the pass
+  // stamps.
+  consumer_first_ = feed_forward_ && engine_threads_ == 1 &&
+                    fc_.delay == 0 &&
+                    fc_.scheme != FlowControlScheme::kOnOff;
+  if (consumer_first_ && multi_lane_) pop_stamp_.assign(lanes, 0);
   if (engine_threads_ > 1) {
     const std::uint64_t words = seed_bits_.word_count();
     domain_begin_.resize(engine_threads_ + 1);
@@ -254,9 +264,11 @@ PacketId Engine::inject_message(NodeId src, std::uint64_t dst,
   pkt.length = length;
   pkt.create_cycle = cycle_;
   pkt.measured = in_measure_window();
-  pkt.turn_stage = routing::make_query(network_, src, dst).turn_stage;
+  pkt.turn_stage = static_cast<std::uint8_t>(
+      routing::make_query(network_, src, dst).turn_stage);
   const auto id = static_cast<PacketId>(packets_.size());
   packets_.push_back(pkt);
+  pkt_length_.push_back(length);
   enqueue_packet(src, id);
   trace(TraceEvent::Kind::kCreated, id, 0, topology::kInvalidId);
   if (wtrace_ != nullptr) {
@@ -300,10 +312,10 @@ void Engine::generate_arrivals() {
       const std::uint64_t dst = traffic_->next_destination(node, rng_);
       WORMSIM_DCHECK(dst != node);
       const std::uint32_t length = traffic_->next_length(node, rng_);
-      const PacketId id = inject_message(node, dst, length);
+      inject_message(node, dst, length);
       if (in_measure_window()) {
         ++result_.generated_messages_in_window;
-        result_.generated_flits_in_window += packets_[id].length;
+        result_.generated_flits_in_window += length;
       }
       next += std::max(traffic_->next_gap(node, rng_), 1e-9);
     }
@@ -364,7 +376,6 @@ void Engine::route_and_allocate() {
     WORMSIM_DCHECK(buf_seq_[u] == 0);
     WORMSIM_DCHECK(route_out_[u] == kInvalidId);
     const PacketId pid = buf_packet_[u];
-    const PacketState& pkt = packets_[pid];
     // Router::candidates is pure in (packet, lane) and packet ids are
     // unique per run, so a blocked header re-arbitrating every cycle
     // reuses its memoized list instead of re-walking the topology.
@@ -374,6 +385,7 @@ void Engine::route_and_allocate() {
       cand = &cand_store_[std::size_t{u} * cand_stride_];
       cand_count = cand_len_[u];
     } else {
+      const PacketState& pkt = packets_[pid];
       routing::RouteQuery query;
       query.src = pkt.src;
       query.dst = pkt.dst;
@@ -407,7 +419,7 @@ void Engine::route_and_allocate() {
       if (channel_faulty_.test(lane_channel_[lane])) continue;
       any_alive = true;
       if (vct && lane_scan_pos_[lane] != kInvalidId &&
-          !fc_.can_accept_packet(lane, pkt.length)) {
+          !fc_.can_accept_packet(lane, pkt_length_[pid])) {
         if (credit_gated == kInvalidId) credit_gated = lane;
         continue;
       }
@@ -618,7 +630,18 @@ void Engine::terminate_worm(PacketId pid) {
   PacketState& pkt = packets_[pid];
   WORMSIM_DCHECK(!pkt.delivered());
   WORMSIM_DCHECK(!pkt.terminated());
-  // (1) Stop the source mid-message: the un-sent tail never enters.
+  // (1) Collect the allocation chain first: chain_worm() identifies the
+  // worm on an empty injection lane by its still-transmitting source, so
+  // the walk must run before the source is stopped (and before releasing
+  // mutates the alloc_owner_ links it follows).
+  std::vector<LaneId> held;
+  const auto lanes = static_cast<LaneId>(buf_packet_.size());
+  for (LaneId u = 0; u < lanes; ++u) {
+    if (route_out_[u] != kInvalidId && chain_worm(u) == pid) {
+      held.push_back(u);
+    }
+  }
+  // (2) Stop the source mid-message: the un-sent tail never enters.
   const auto src = static_cast<NodeId>(pkt.src);
   std::uint32_t sent = pkt.length;
   if (node_tx_packet_[src] == pid) {
@@ -629,15 +652,7 @@ void Engine::terminate_worm(PacketId pid) {
     deactivate_channel(network_.injection_channel(src));
     if (!node_queue_[src].empty()) mark_tx_pending(src);
   }
-  // (2) Release the allocation chain.  Collect first: releasing mutates
-  // the alloc_owner_ links chain_worm() walks.
-  std::vector<LaneId> held;
-  const auto lanes = static_cast<LaneId>(buf_packet_.size());
-  for (LaneId u = 0; u < lanes; ++u) {
-    if (route_out_[u] != kInvalidId && chain_worm(u) == pid) {
-      held.push_back(u);
-    }
-  }
+  // (3) Release the chain.
   for (const LaneId u : held) {
     const LaneId out = route_out_[u];
     route_out_[u] = kInvalidId;
@@ -645,12 +660,12 @@ void Engine::terminate_worm(PacketId pid) {
     deactivate_channel(lane_channel_[out]);
     if (wtrace_ != nullptr) wtrace_->on_lane_released(out);
   }
-  // (3) Discard the worm's buffered flits everywhere it has any.
+  // (4) Discard the worm's buffered flits everywhere it has any.
   std::uint32_t truncated = 0;
   for (LaneId lane = 0; lane < lanes; ++lane) {
     truncated += fc_remove_packet(lane, pid);
   }
-  // (4) Account: delivered + terminated is the generalized conservation
+  // (5) Account: delivered + terminated is the generalized conservation
   // the validator reconciles (flits ejected before the kill stay
   // delivered; sent - truncated of them were).
   pkt.terminate_cycle = cycle_;
@@ -769,9 +784,9 @@ void Engine::apply_move(ChannelId ch_id, unsigned pick) {
   const LaneId lane = ch_first_lane_[ch_id] + pick;
   const std::uint32_t src_node = ch_src_node_[ch_id];
   if (src_node != kInvalidId) {
-    move_from_node(src_node, lane);
+    move_from_node<AdvanceMode::kFixpoint>(src_node, lane);
   } else {
-    move_from_switch(alloc_owner_[lane], lane);
+    move_from_switch<AdvanceMode::kFixpoint>(alloc_owner_[lane], lane, 0);
   }
   channel_used_epoch_[ch_id] = epoch_;
   if (util_window_) {
@@ -783,18 +798,18 @@ void Engine::apply_move(ChannelId ch_id, unsigned pick) {
   last_move_cycle_ = cycle_;
 }
 
+template <Engine::AdvanceMode M>
 void Engine::move_from_node(NodeId node_id, LaneId lane) {
   const PacketId tx = node_tx_packet_[node_id];
   const std::uint32_t sent = node_tx_sent_[node_id];
-  PacketState& pkt = packets_[tx];
-  const bool was_head = fc_push(lane, tx, sent);
+  const bool was_head = push_flit<M>(lane, tx, sent);
   // The arrived flit can cross its (already routed) next hop next cycle.
   // A flit landing behind the head changes nothing about readiness.
   if (was_head && route_out_[lane] != kInvalidId) {
     schedule_channel(lane_channel_[route_out_[lane]]);
   }
   if (sent == 0) {
-    pkt.inject_cycle = cycle_;
+    packets_[tx].inject_cycle = cycle_;
     ++worms_in_flight_;
     if (wtrace_ != nullptr) wtrace_->on_injected(tx, cycle_);
     // A header behind an earlier worm's flits becomes routable only when
@@ -808,7 +823,7 @@ void Engine::move_from_node(NodeId node_id, LaneId lane) {
   }
   trace(TraceEvent::Kind::kFlitMoved, tx, sent, lane);
   node_tx_sent_[node_id] = sent + 1;
-  if (sent + 1 == pkt.length) {
+  if (sent + 1 == pkt_length_[tx]) {
     node_tx_packet_[node_id] = kNoPacket;
     node_tx_sent_[node_id] = 0;
     --transmitting_nodes_;
@@ -817,22 +832,46 @@ void Engine::move_from_node(NodeId node_id, LaneId lane) {
   }
 }
 
-void Engine::move_from_switch(LaneId in_lane, LaneId out_lane) {
+template <Engine::AdvanceMode M>
+void Engine::move_from_switch(LaneId in_lane, LaneId out_lane,
+                              std::uint32_t pass) {
   const PacketId pkt_id = buf_packet_[in_lane];
   const std::uint32_t seq = buf_seq_[in_lane];
-  const PacketState& pkt = packets_[pkt_id];
-  const bool tail = seq + 1 == pkt.length;
+  const bool tail = seq + 1 == pkt_length_[pkt_id];
   const ChannelId out_ch = lane_channel_[out_lane];
+  const ChannelId up_ch = lane_channel_[in_lane];
 
-  fc_pop(in_lane);
-  // The channel feeding in_lane's buffer may now transmit its next flit;
-  // the worklist re-tries it at the scan position this move sits at.
-  unblocked_ = lane_channel_[in_lane];
+  if constexpr (M == AdvanceMode::kFixpoint) {
+    fc_pop(in_lane);
+    // The channel feeding in_lane's buffer may now transmit its next flit;
+    // the worklist re-tries it at the scan position this move sits at.
+    unblocked_ = up_ch;
+  } else {
+    // Instant credit return: the sender sees the freed slot this cycle.
+    fc_pop_slot(in_lane);
+    ++fc_.credits[in_lane];
+    if (pass != 0) pop_stamp_[in_lane] = pass_stamp(pass);
+    // Re-arm the sender below the descending cursor: it is decided after
+    // every consumer that can free its buffers.
+    if (channel_sources_[up_ch] != 0) {
+      WORMSIM_DCHECK(up_ch < out_ch);
+      cur_pass_.set(up_ch);
+    }
+  }
   trace(TraceEvent::Kind::kFlitMoved, pkt_id, seq, out_lane);
   if (!ch_dst_is_switch_.test(out_ch)) {
-    deliver_flit(pkt_id, seq);
+    if (tail) {
+      trace(TraceEvent::Kind::kDelivered, pkt_id, seq, topology::kInvalidId);
+    }
+    if constexpr (M == AdvanceMode::kFixpoint) {
+      deliver_flit(pkt_id, seq);
+    } else {
+      // Ejections are all pass-1 moves of the fixpoint, which applied them
+      // in ascending channel order: replay them that way after the pass.
+      cf_deliveries_.push_back({pkt_id, seq});
+    }
   } else {
-    const bool was_head = fc_push(out_lane, pkt_id, seq);
+    const bool was_head = push_flit<M>(out_lane, pkt_id, seq);
     if (was_head && seq == 0) {
       add_header_lane(out_lane);
       if (wtrace_ != nullptr) {
@@ -862,7 +901,18 @@ void Engine::move_from_switch(LaneId in_lane, LaneId out_lane) {
   }
 }
 
-bool Engine::fc_push(LaneId lane, PacketId pkt, std::uint32_t seq) {
+template <Engine::AdvanceMode M>
+bool Engine::push_flit(LaneId lane, PacketId pkt, std::uint32_t seq) {
+  if constexpr (M == AdvanceMode::kFixpoint) {
+    return fc_push(lane, pkt, seq);
+  } else {
+    const bool was_head = fc_push_slot(lane, pkt, seq);
+    --fc_.credits[lane];
+    return was_head;
+  }
+}
+
+bool Engine::fc_push_slot(LaneId lane, PacketId pkt, std::uint32_t seq) {
   const bool was_head = fc_.count[lane] == 0;
   if (was_head) {
     buf_packet_[lane] = pkt;
@@ -876,6 +926,11 @@ bool Engine::fc_push(LaneId lane, PacketId pkt, std::uint32_t seq) {
   }
   ++fc_.count[lane];
   ++occupied_;
+  return was_head;
+}
+
+bool Engine::fc_push(LaneId lane, PacketId pkt, std::uint32_t seq) {
+  const bool was_head = fc_push_slot(lane, pkt, seq);
   if (fc_.scheme == FlowControlScheme::kOnOff) {
     // Occupancy rose to the stop level: tell the sender to pause.  The
     // threshold leaves room for the flits still sendable while the signal
@@ -890,7 +945,7 @@ bool Engine::fc_push(LaneId lane, PacketId pkt, std::uint32_t seq) {
   return was_head;
 }
 
-void Engine::fc_pop(LaneId lane) {
+void Engine::fc_pop_slot(LaneId lane) {
   --fc_.count[lane];
   --occupied_;
   const std::uint32_t remaining = fc_.count[lane];
@@ -913,6 +968,10 @@ void Engine::fc_pop(LaneId lane) {
   } else {
     buf_packet_[lane] = kNoPacket;
   }
+}
+
+void Engine::fc_pop(LaneId lane) {
+  fc_pop_slot(lane);
   // Return the freed slot to the sender.
   if (fc_.scheme == FlowControlScheme::kOnOff) {
     if (fc_.count[lane] == fc_.on_threshold) {
@@ -921,19 +980,19 @@ void Engine::fc_pop(LaneId lane) {
   } else if (fc_.delay == 0) {
     // Instant credit return: the sender sees the free slot this cycle —
     // at depth 1 exactly the legacy "downstream buffer is empty" check.
+    // No starvation clock can be open: with instant credits a sender is
+    // gated only by a full buffer, which is backpressure, not starvation.
     ++fc_.credits[lane];
-    fc_close_starve(lane);
+    return;
   } else {
     fc_.events.push_back({cycle_ + fc_.delay, lane, /*go=*/false});
   }
-  if (fc_.scheme != FlowControlScheme::kCredit || fc_.delay > 0) {
-    // The freed slot may leave the sender gated with space downstream
-    // (credit in flight, or an on/off pause): starvation begins now, and
-    // no try_channel attempt will observe it — the sender is not seeded
-    // until the gate lifts.
-    if (!fc_.can_accept(lane) && upstream_has_flit(lane)) {
-      fc_open_starve(lane);
-    }
+  // The freed slot may leave the sender gated with space downstream
+  // (credit in flight, or an on/off pause): starvation begins now, and
+  // no try_channel attempt will observe it — the sender is not seeded
+  // until the gate lifts.
+  if (!fc_.can_accept(lane) && upstream_has_flit(lane)) {
+    fc_open_starve(lane);
   }
 }
 
@@ -1005,31 +1064,28 @@ bool Engine::upstream_has_flit(LaneId lane) const {
 }
 
 void Engine::deliver_flit(PacketId pkt_id, std::uint32_t seq) {
+  if (in_measure_window()) {
+    ++result_.delivered_flits_in_window;
+  }
+  ++delivered_flits_total_;
+  if (seq + 1 != pkt_length_[pkt_id]) return;
   PacketState& pkt = packets_[pkt_id];
   WORMSIM_DCHECK(network_
                      .channel(network_.ejection_channel(
                          static_cast<NodeId>(pkt.dst)))
                      .dst.id == pkt.dst);
-  if (in_measure_window()) {
-    ++result_.delivered_flits_in_window;
-  }
-  ++delivered_flits_total_;
-  if (seq + 1 == pkt.length) {
-    pkt.deliver_cycle = cycle_;
-    --worms_in_flight_;
-    trace(TraceEvent::Kind::kDelivered, pkt_id, seq, topology::kInvalidId);
-    if (wtrace_ != nullptr) wtrace_->on_delivered(pkt_id, cycle_);
-    ++result_.delivered_messages_total;
-    if (pkt.measured) {
-      const auto latency =
-          static_cast<double>(cycle_ - pkt.create_cycle);
-      result_.latency_cycles.add(latency);
-      result_.latency_histogram.add(latency);
-      result_.network_latency_cycles.add(
-          static_cast<double>(cycle_ - pkt.inject_cycle));
-      result_.queueing_cycles.add(
-          static_cast<double>(pkt.inject_cycle - pkt.create_cycle));
-    }
+  pkt.deliver_cycle = cycle_;
+  --worms_in_flight_;
+  if (wtrace_ != nullptr) wtrace_->on_delivered(pkt_id, cycle_);
+  ++result_.delivered_messages_total;
+  if (pkt.measured) {
+    const auto latency = static_cast<double>(cycle_ - pkt.create_cycle);
+    result_.latency_cycles.add(latency);
+    result_.latency_histogram.add(latency);
+    result_.network_latency_cycles.add(
+        static_cast<double>(cycle_ - pkt.inject_cycle));
+    result_.queueing_cycles.add(
+        static_cast<double>(pkt.inject_cycle - pkt.create_cycle));
   }
 }
 
@@ -1041,10 +1097,18 @@ void Engine::advance_flits() {
   // Consume the event frontier: every channel scheduled since the previous
   // advance — by a grant, a transmission start, a flit arrival onto a
   // routed lane, or its own move last cycle.  This is a superset of the
-  // channels that can move at pass one (see DESIGN.md for the induction),
-  // and the ascending bit scan visits them exactly like pass one of the
-  // original full scan.
+  // channels that can move at pass one (see DESIGN.md for the induction).
   cur_pass_.swap(seed_bits_);
+
+  if (consumer_first_) {
+    if (multi_lane_ || trace_ != nullptr) {
+      if (pop_stamp_.empty()) pop_stamp_.assign(buf_packet_.size(), 0);
+      advance_consumer_first<true>();
+    } else {
+      advance_consumer_first<false>();
+    }
+    return;
+  }
 
   // Resolve movement to a fixpoint: a move can free a buffer that enables
   // another move in the same cycle, which is exactly how an unblocked worm
@@ -1058,6 +1122,123 @@ void Engine::advance_flits() {
     while (cur_pass_.any()) advance_pass_parallel();
   } else {
     while (cur_pass_.any()) advance_pass_sequential();
+  }
+}
+
+template <bool kPasses>
+void Engine::advance_consumer_first() {
+  // Descending id order is consumer-first on a feed-forward network: a
+  // switch's in-channel ids are below its out-channel ids, so every
+  // channel that can pop this channel's buffers is decided before it, and
+  // a pop re-arms its sender below the cursor.
+  cur_pass_.consume_descending(
+      [this](std::uint32_t ch) { visit_channel<kPasses>(ch); });
+  finish_consumer_first();
+}
+
+template <bool kPasses>
+std::uint32_t Engine::lane_pass_bound(LaneId lane) const {
+  // Credits already include this cycle's pop of the lane, if any: with
+  // exactly one left the lane was full before it and accepts only in the
+  // pass after the pop.
+  const std::uint32_t credits = fc_.credits[lane];
+  if (credits == 0) return kNeverPass;
+  if constexpr (kPasses) {
+    if (credits == 1) {
+      const std::uint32_t popped = popped_pass(lane);
+      if (popped != 0) return popped + 1;
+    }
+  }
+  return 1;
+}
+
+template <bool kPasses>
+void Engine::visit_channel(ChannelId ch) {
+  const LaneId first = ch_first_lane_[ch];
+  const unsigned num = ch_num_lanes_[ch];
+  const std::uint32_t src_node = ch_src_node_[ch];
+  const bool dst_switch = ch_dst_is_switch_.test(ch);
+
+  // Lanes whose upstream holds a flit that may cross this cycle.  The
+  // senders of those flits sit on lower channels the descending pass has
+  // not visited, so this is the cycle-start view the fixpoint saw.
+  std::uint32_t up_mask = 0;
+  if (!channel_faulty_.test(ch)) {
+    if (src_node != kInvalidId) {
+      if (node_tx_packet_[src_node] != kNoPacket) {
+        up_mask = num >= 32 ? ~0u : (1u << num) - 1;
+      }
+    } else {
+      for (unsigned v = 0; v < num; ++v) {
+        const LaneId u = alloc_owner_[first + v];
+        if (u != kInvalidId && buf_packet_[u] != kNoPacket &&
+            arrived_epoch_[u] != epoch_) {
+          WORMSIM_DCHECK(route_out_[u] == first + v);
+          up_mask |= 1u << v;
+        }
+      }
+    }
+  }
+  if (up_mask == 0) return;
+
+  // The fixpoint moves this channel in the first pass t* at which one of
+  // those lanes accepts, and round-robins among the lanes accepting by t*.
+  std::uint32_t pass = kNeverPass;
+  std::uint32_t ready = 0;
+  if (!dst_switch) {
+    pass = 1;  // ejection consumes instantly
+    ready = up_mask;
+  } else if (num == 1) {
+    pass = lane_pass_bound<kPasses>(first);
+    ready = pass != kNeverPass ? 1u : 0u;
+  } else {
+    std::uint32_t bound[32];
+    for (unsigned v = 0; v < num; ++v) {
+      if ((up_mask >> v) & 1) {
+        bound[v] = lane_pass_bound<kPasses>(first + v);
+        pass = std::min(pass, bound[v]);
+      }
+    }
+    if (pass == kNeverPass) return;
+    for (unsigned v = 0; v < num; ++v) {
+      if (((up_mask >> v) & 1) && bound[v] <= pass) ready |= 1u << v;
+    }
+  }
+  if (ready == 0) return;
+  unsigned pick = vc_rr_[ch] % num;
+  while ((ready & (1u << pick)) == 0) pick = (pick + 1) % num;
+  vc_rr_[ch] = static_cast<std::uint8_t>((pick + 1) % num);
+
+  if (trace_ != nullptr) trace_key_ = (std::uint64_t{pass} << 32) | ch;
+  const LaneId lane = first + pick;
+  const std::uint32_t stamp_pass = kPasses ? pass : 0;
+  if (src_node != kInvalidId) {
+    move_from_node<AdvanceMode::kConsumerFirst>(src_node, lane);
+  } else {
+    move_from_switch<AdvanceMode::kConsumerFirst>(alloc_owner_[lane], lane,
+                                                  stamp_pass);
+  }
+  // A multi-lane channel may still hold another ready lane, and a
+  // streaming channel wants its next flit: a mover is always a candidate
+  // again next cycle.
+  schedule_channel(ch);
+  if (util_window_) ++result_.channel_busy_cycles[ch];
+  if (tel_window_ != nullptr) ++tel_window_->lane_flits[lane];
+  last_move_cycle_ = cycle_;
+}
+
+void Engine::finish_consumer_first() {
+  for (auto it = cf_deliveries_.rbegin(); it != cf_deliveries_.rend(); ++it) {
+    deliver_flit(it->first, it->second);
+  }
+  cf_deliveries_.clear();
+  if (trace_key_ != kNoTraceKey) {
+    trace_key_ = kNoTraceKey;
+    std::stable_sort(
+        staged_traces_.begin(), staged_traces_.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& staged : staged_traces_) trace_->on_event(staged.second);
+    staged_traces_.clear();
   }
 }
 

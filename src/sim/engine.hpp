@@ -14,10 +14,19 @@
 //   3. *Advance* — flits move one hop.  Each physical channel carries at
 //      most one flit per cycle; when several virtual-channel lanes of a
 //      channel are ready, a round-robin pointer picks one (flit-level fair
-//      multiplexing, Section 2.2).  Movement is resolved to a fixpoint so
-//      an unblocked worm advances as a unit — every flit behind a moving
-//      flit moves in the same cycle, giving the full one-flit-per-cycle
-//      wormhole pipeline with single-flit buffers.
+//      multiplexing, Section 2.2).  An unblocked worm advances as a unit:
+//      every flit behind a moving flit moves in the same cycle, giving the
+//      full one-flit-per-cycle wormhole pipeline with single-flit buffers.
+//      The reference semantics is a fixpoint of ascending channel-id
+//      passes.  When a pop returns its credit inline (credit or cut-through
+//      flow control at delay 0, the paper's model) on a feed-forward
+//      network (every unidirectional MIN), one consumer-first pass in
+//      descending channel order reaches the same state: each channel is
+//      decided after every channel that can free its buffers, and per-lane
+//      pass stamps replay the fixpoint's round-robin picks exactly
+//      (DESIGN.md §7).  BMIN, whose turnaround wiring is not feed-forward,
+//      and delayed or on/off signalling, where a pop rarely frees its
+//      sender within the cycle, run the fixpoint itself.
 //
 // Buffers default to exactly one flit (Section 5: "each input channel in
 // a switch has a buffer the size of a single flit").  A buffer lives at
@@ -42,8 +51,8 @@
 // round-robin picks, same RNG draw order), pinned bitwise by
 // tests/golden_test.cpp.
 //
-// With SimConfig::engine_threads > 1 the advance fixpoint additionally
-// runs domain-partitioned: channels are split into stage-contiguous
+// With SimConfig::engine_threads > 1 the advance fixpoint instead runs
+// domain-partitioned: channels are split into stage-contiguous
 // id ranges, a persistent thread team computes every channel's transmit
 // decision against the immutable pre-pass snapshot (phase A), and the
 // recorded moves are applied sequentially in canonical ascending channel
@@ -209,6 +218,12 @@ class Engine {
     std::uint8_t pick;
   };
 
+  /// Template tag for the move helpers: the reference fixpoint applies a
+  /// pop's and a push's flow-control accounting as it goes; the
+  /// consumer-first pass (instant credits only) re-arms the sender and
+  /// defers ejections itself.
+  enum class AdvanceMode : std::uint8_t { kFixpoint, kConsumerFirst };
+
   void generate_arrivals();
   void start_transmissions();
   void route_and_allocate();
@@ -231,8 +246,34 @@ class Engine {
     apply_move(ch, static_cast<unsigned>(pick));
     return true;
   }
+
+  // ---- Consumer-first single pass (DESIGN.md §7) -----------------------
+  /// One descending-id pass over the event frontier; a pop re-arms its
+  /// upstream channel below the cursor.  kPasses: compute each move's
+  /// emulated fixpoint pass (needed for multi-lane picks and trace order;
+  /// single-lane runs skip it).
+  template <bool kPasses>
+  void advance_consumer_first();
+  template <bool kPasses>
+  void visit_channel(topology::ChannelId ch);
+  /// First emulated fixpoint pass at which switch-destined `lane` accepts
+  /// a flit (kNeverPass when it cannot this cycle).
+  template <bool kPasses>
+  std::uint32_t lane_pass_bound(topology::LaneId lane) const;
+  /// Replays what the pass deferred in fixpoint order: ejections in
+  /// ascending channel order, staged trace events by (pass, channel).
+  void finish_consumer_first();
+
+  template <AdvanceMode M>
   void move_from_node(topology::NodeId node, topology::LaneId lane);
-  void move_from_switch(topology::LaneId in_lane, topology::LaneId out_lane);
+  template <AdvanceMode M>
+  void move_from_switch(topology::LaneId in_lane, topology::LaneId out_lane,
+                        std::uint32_t pass);
+  /// Pushes one flit into `lane` with its sender-side accounting.  Returns
+  /// true when the flit landed at the head slot.
+  template <AdvanceMode M>
+  bool push_flit(topology::LaneId lane, PacketId pkt, std::uint32_t seq);
+  /// Stats and tracer bookkeeping for one ejected flit.
   void deliver_flit(PacketId pkt, std::uint32_t seq);
   void enqueue_packet(topology::NodeId src, PacketId id);
   bool in_measure_window() const {
@@ -276,13 +317,18 @@ class Engine {
   /// step(), before the phases, so a credit due at cycle T is usable at
   /// cycle T (consistent with the delay -> 0 limit).
   void drain_flow_control_events();
-  /// Pushes one flit into `lane`'s input FIFO (head slot or extension)
-  /// and runs the sender-side accounting (credit decrement / STOP
-  /// emission).  Returns true when the flit landed at the head slot.
+  /// Buffer side of a push: stores one flit in `lane`'s input FIFO (head
+  /// slot or extension).  Returns true when it landed at the head slot.
+  bool fc_push_slot(topology::LaneId lane, PacketId pkt, std::uint32_t seq);
+  /// Buffer side of a pop: removes `lane`'s head flit and promotes the
+  /// next FIFO slot.
+  void fc_pop_slot(topology::LaneId lane);
+  /// Push with the fixpoint's sender-side accounting (credit decrement /
+  /// STOP emission).  Returns true when the flit landed at the head slot.
   bool fc_push(topology::LaneId lane, PacketId pkt, std::uint32_t seq);
-  /// Pops `lane`'s head flit, promotes the next FIFO slot, and returns
-  /// the freed slot upstream (inline when credit_delay is 0, as a
-  /// calendar event otherwise).
+  /// Pop with the fixpoint's sender-side accounting: returns the freed
+  /// slot upstream (inline when credit_delay is 0, as a calendar event
+  /// otherwise).
   void fc_pop(topology::LaneId lane);
   /// On/off signal toward `lane`'s sender: applied inline at delay 0,
   /// queued on the calendar otherwise.
@@ -348,7 +394,27 @@ class Engine {
   void trace(TraceEvent::Kind kind, PacketId packet, std::uint32_t seq,
              topology::LaneId lane) {
     if (trace_ == nullptr) return;
-    trace_->on_event(TraceEvent{kind, cycle_, packet, seq, lane});
+    const TraceEvent event{kind, cycle_, packet, seq, lane};
+    if (trace_key_ != kNoTraceKey) {
+      staged_traces_.push_back({trace_key_, event});
+      return;
+    }
+    trace_->on_event(event);
+  }
+
+  /// Pass stamps: the cycle's epoch and an emulated fixpoint pass packed
+  /// in one word; pass 0 means "not this cycle".
+  static constexpr unsigned kPassBits = 16;
+  static constexpr std::uint32_t kNeverPass = ~std::uint32_t{0};
+  std::uint64_t pass_stamp(std::uint32_t pass) const {
+    WORMSIM_DCHECK(pass != 0 && pass < (1u << kPassBits));
+    return (epoch_ << kPassBits) | pass;
+  }
+  std::uint32_t popped_pass(topology::LaneId lane) const {
+    const std::uint64_t stamp = pop_stamp_[lane];
+    return (stamp >> kPassBits) == epoch_
+               ? static_cast<std::uint32_t>(stamp & ((1u << kPassBits) - 1))
+               : 0;
   }
 
   const topology::NetView network_;
@@ -399,6 +465,9 @@ class Engine {
   std::uint64_t queued_messages_ = 0;     ///< sum of source-queue lengths
 
   std::vector<PacketState> packets_;
+  // Flit count per packet, dense: the per-flit paths (every switch move,
+  // injection, ejection) read this instead of the 64-byte PacketState.
+  std::vector<std::uint32_t> pkt_length_;
 
   // Per-node state, structure-of-arrays (DESIGN.md §12).  The hot advance
   // loop touches only node_tx_packet_ (is the source streaming?); the
@@ -477,17 +546,28 @@ class Engine {
   // and are dropped.
   std::vector<std::uint32_t> channel_sources_;
 
-  // Event frontier and fixpoint worklists as dense channel-id bitsets.
+  // Event frontier and advance worklists as dense channel-id bitsets.
   // seed_bits_ collects channels scheduled for the next advance's first
-  // pass; cur_pass_/next_pass_ are the fixpoint worklists.  The ascending
-  // ctz scan replaces the per-pass std::sort (bit order == id order), and
-  // bit idempotency replaces the seed/pass epoch-stamp dedup arrays.
+  // pass; cur_pass_ is the worklist being scanned (plus next_pass_ for the
+  // fixpoint).  Bit order is id order, and setting a bit is the dedup.
   // `unblocked_` carries the channel whose downstream buffer the current
-  // move freed.
+  // fixpoint move freed.
   util::DenseBitset seed_bits_;
   util::DenseBitset cur_pass_;
   util::DenseBitset next_pass_;
   topology::ChannelId unblocked_ = topology::kInvalidId;
+
+  // Consumer-first pass state (DESIGN.md §7).  pop_stamp_ is each lane's
+  // pass stamp of the cycle's pop, allocated only when a pass is tracked
+  // (multi-lane channels, or a trace sink attached); the vectors hold the
+  // ejections and trace events the pass replays in fixpoint order.
+  bool consumer_first_ = false;
+  bool multi_lane_ = false;  // some channel has more than one lane
+  std::vector<std::uint64_t> pop_stamp_;
+  std::vector<std::pair<PacketId, std::uint32_t>> cf_deliveries_;
+  static constexpr std::uint64_t kNoTraceKey = ~std::uint64_t{0};
+  std::uint64_t trace_key_ = kNoTraceKey;  // (pass, channel) of the move
+  std::vector<std::pair<std::uint64_t, TraceEvent>> staged_traces_;
 
   // Switch input lanes holding an unrouted header (exact set: a header
   // enters on arrival and leaves on grant; blocked headers persist),

@@ -118,7 +118,8 @@ PacketId StoreForwardEngine::inject_message(NodeId src, std::uint64_t dst,
   pkt.dst = dst;
   pkt.length = length;
   pkt.create_cycle = when;
-  pkt.turn_stage = routing::make_query(network_, src, dst).turn_stage;
+  pkt.turn_stage = static_cast<std::uint8_t>(
+      routing::make_query(network_, src, dst).turn_stage);
   const auto id = static_cast<PacketId>(packets_.size());
   packets_.push_back(pkt);
   if (wtrace_ != nullptr) {

@@ -238,11 +238,28 @@ void EngineValidator::check_buffers_and_counters() {
   // transmitted (single-flit buffers cannot reorder a worm, and the
   // freshest flit always sits in the injection lane while transmission is
   // under way).
+  // The per-flit paths read a worm's length from the dense side array,
+  // never from its PacketState: the two copies must agree for every worm
+  // with a flit in a buffer or still leaving its source.
+  if (e_.pkt_length_.size() != e_.packets_.size()) {
+    engine_fail("packet-length", cycle, kInvalidId,
+                "%zu packet lengths recorded for %zu packets",
+                e_.pkt_length_.size(), e_.packets_.size());
+  }
+  const auto check_length = [&](PacketId pid, LaneId lane) {
+    if (e_.pkt_length_[pid] != e_.packets_[pid].length) {
+      engine_fail("packet-length", cycle, lane,
+                  "packet %u's length array says %u flits but its record "
+                  "says %u",
+                  pid, e_.pkt_length_[pid], e_.packets_[pid].length);
+    }
+  };
   std::sort(buffered_.begin(), buffered_.end());
   std::int64_t worms = 0;
   for (std::size_t i = 0; i < buffered_.size();) {
     const auto pid = static_cast<PacketId>(buffered_[i].first >> 32);
     const PacketState& pkt = e_.packets_[pid];
+    check_length(pid, buffered_[i].second);
     std::size_t j = i + 1;
     while (j < buffered_.size() &&
            static_cast<PacketId>(buffered_[j].first >> 32) == pid) {
@@ -299,6 +316,7 @@ void EngineValidator::check_buffers_and_counters() {
     queued += e_.node_queue_[node].size();
     if (tx == kNoPacket) continue;
     ++transmitting;
+    if (tx < e_.packets_.size()) check_length(tx, kInvalidId);
     if (tx >= e_.packets_.size() || e_.packets_[tx].delivered()) {
       engine_fail("flit-conservation", cycle, kInvalidId,
                   "node %u is transmitting packet %u which is %s", node, tx,

@@ -2,8 +2,8 @@
 //
 // Attributes a run's wall time to the step() phases: flow-control event
 // drain, fault transitions, arrival generation (calendar maintenance
-// included), transmission starts, routing/allocation, the advance
-// fixpoint (split into the parallel decide phase A and the sequential
+// included), transmission starts, routing/allocation, the flit advance
+// (split into the parallel decide phase A and the sequential
 // apply phase B when --engine-threads > 1), telemetry emission
 // (sampling + heartbeats), and validator sweeps.  Per-domain busy time
 // and imbalance for thread teams ride along from the engine's existing
@@ -33,7 +33,7 @@ enum class EnginePhase : std::uint8_t {
   kArrivals,         ///< arrival calendar drain + message creation
   kStartTx,          ///< source port transmission starts
   kRouting,          ///< header routing + lane allocation
-  kAdvance,          ///< advance fixpoint, sequential passes + scan
+  kAdvance,          ///< flit advance: sequential pass(es) + scan
   kAdvanceDecide,    ///< parallel phase A (per-domain transmit decisions)
   kAdvanceApply,     ///< sequential phase B (canonical-order applies)
   kTelemetry,        ///< interval sampling + heartbeat emission

@@ -1,8 +1,8 @@
 // Dense bitset tuned for the engine's active sets.
 //
-// The event-driven hot loop keeps three per-channel worklists (the seed
-// frontier, the current fixpoint pass, the next pass) and the unrouted
-// header set.  All of them share two requirements the standard containers
+// The event-driven hot loop keeps per-channel worklists (the seed
+// frontier, the pass being scanned, the fixpoint's next pass) and the
+// unrouted header set.  All of them share two requirements the standard containers
 // fight against:
 //
 //   * membership insert must be O(1) and idempotent (the old sorted
@@ -94,6 +94,21 @@ class DenseBitset {
     for (std::size_t wi = 0; wi < words_.size(); ++wi) {
       while (std::uint64_t w = words_[wi]) {
         const int b = std::countr_zero(w);
+        words_[wi] &= ~(std::uint64_t{1} << b);
+        fn(static_cast<std::uint32_t>((wi << 6) | static_cast<unsigned>(b)));
+      }
+    }
+  }
+
+  /// Visits every set bit in descending order, clearing each before its
+  /// callback runs.  The mirror of consume(): `fn` may set bits *below*
+  /// the position it was called with and they are visited in this same
+  /// sweep (the consumer-first advance re-arms lower channels).
+  template <typename Fn>
+  void consume_descending(Fn&& fn) {
+    for (std::size_t wi = words_.size(); wi-- > 0;) {
+      while (std::uint64_t w = words_[wi]) {
+        const int b = 63 - std::countl_zero(w);
         words_[wi] &= ~(std::uint64_t{1} << b);
         fn(static_cast<std::uint32_t>((wi << 6) | static_cast<unsigned>(b)));
       }

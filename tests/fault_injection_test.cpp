@@ -28,6 +28,7 @@
 #include "sim/engine.hpp"
 #include "sim/fault_injection/plan.hpp"
 #include "sim/store_forward.hpp"
+#include "sim/trace.hpp"
 #include "telemetry/worm_trace.hpp"
 #include "topology/implicit.hpp"
 #include "topology/net_view.hpp"
@@ -344,6 +345,55 @@ TEST(FaultInjection, MidRunKillTruncatesAndAccounts) {
   EXPECT_GT(r.delivered_messages_total, 0u);
   EXPECT_LT(r.delivery_fraction(), 1.0);
   EXPECT_GT(r.delivery_fraction(), 0.0);
+}
+
+// A kill that lands while the victim's source is still transmitting but
+// its injection FIFO is momentarily empty (credits in flight) must still
+// release the whole allocation chain: the chain walk identifies the worm
+// on that lane by its transmitting source, so it has to run before the
+// source is stopped.  The validator flags any allocation left behind.
+TEST(FaultInjection, KillWithEmptyInjectionFifoReleasesTheRoute) {
+  const Network net = topology::build_network(
+      golden_network(NetworkKind::kTMIN));
+  const NetView view(net);
+  const auto router = routing::make_router(net);
+  SimConfig config;
+  config.warmup_cycles = 0;
+  config.measure_cycles = 1u << 30;
+  config.drain_cycles = 0;
+  config.buffer_depth = 1;
+  config.credit_delay = 2;  // the source refills its lane every 3 cycles
+  config.validate = true;
+
+  std::vector<ChannelId> route;
+  {
+    Engine dry(net, *router, nullptr, config);
+    RecordingTraceSink sink;
+    dry.set_trace_sink(&sink);
+    const PacketId id = dry.inject_message(0, 7, 40);
+    ASSERT_TRUE(dry.run_until_idle(2'000));
+    route = sink.route_of(id, net);
+  }
+  ASSERT_GE(route.size(), 3u);
+  const ChannelId interior = route[1];  // first switch-to-switch hop
+  // Consecutive kill cycles cover every phase of the refill period.
+  for (const std::uint64_t kill : {30u, 31u, 32u}) {
+    SCOPED_TRACE("kill at cycle " + std::to_string(kill));
+    fault_injection::FaultPlan plan;
+    fault_injection::add_channel_kill(plan, view, interior);
+    plan.at_cycle = kill;
+    Engine engine(net, *router, nullptr, config);
+    engine.set_fault_plan(plan);
+    const PacketId victim = engine.inject_message(0, 7, 40);
+    while (engine.cycle() < kill + 1) engine.step();
+    EXPECT_TRUE(engine.packet(victim).terminated());
+    // The node's next worm starts on the same injection lane; a leftover
+    // allocation would hand it a stale route onto the dead channel.
+    const PacketId next = engine.inject_message(0, 6, 8);
+    EXPECT_TRUE(engine.run_until_idle(2'000));
+    EXPECT_TRUE(engine.packet(next).terminated() ||
+                engine.packet(next).delivered());
+  }
 }
 
 // Repair brings a disconnected pair back: the same pair that a permanent

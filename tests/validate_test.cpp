@@ -45,6 +45,9 @@ struct EngineTestPeer {
     return e.domain_begin_;
   }
   static std::vector<PacketState>& packets(Engine& e) { return e.packets_; }
+  static std::vector<std::uint32_t>& pkt_length(Engine& e) {
+    return e.pkt_length_;
+  }
   static std::int64_t& occupied(Engine& e) { return e.occupied_; }
   static std::int64_t& worms_in_flight(Engine& e) {
     return e.worms_in_flight_;
@@ -198,6 +201,18 @@ TEST_F(EngineCorruption, SeqBeyondLengthTripsWormContiguity) {
         EngineTestPeer::validator(engine_).check_cycle_end();
       },
       "invariant 'worm-contiguity'.*beyond packet");
+}
+
+TEST_F(EngineCorruption, LengthArrayDriftTripsPacketLength) {
+  step_until([&] { return buffered_lane() != kInvalidId; });
+  EXPECT_DEATH(
+      {
+        const PacketId pid =
+            EngineTestPeer::buf_packet(engine_)[buffered_lane()];
+        ++EngineTestPeer::pkt_length(engine_)[pid];
+        EngineTestPeer::validator(engine_).check_cycle_end();
+      },
+      "invariant 'packet-length'.*length array says");
 }
 
 TEST_F(EngineCorruption, StaleEpochStampCaught) {
