@@ -136,12 +136,12 @@ int main(int argc, char** argv) {
   table.print(std::cout);
 
   std::cout << "\nlatency: "
-            << engine.packet(id).deliver_cycle -
+            << engine.packet(id).deliver_cycle() -
                    engine.packet(id).create_cycle
             << " cycles";
   if (rival != sim::kNoPacket) {
     std::cout << "; rival: "
-              << engine.packet(rival).deliver_cycle -
+              << engine.packet(rival).deliver_cycle() -
                      engine.packet(rival).create_cycle
               << " cycles";
   }

@@ -43,6 +43,9 @@ Engine::Engine(const topology::NetView& network,
       traffic_(traffic),
       config_(config),
       rng_(config.seed) {
+  // Packet records keep their cycles as 32-bit offsets from creation.
+  WORMSIM_CHECK_MSG(config_.total_cycles() < (std::uint64_t{1} << 32),
+                    "runs are limited to 2^32 - 1 cycles");
   const std::size_t lanes = network_.lane_count();
   const std::size_t channels = network_.channel_count();
   buf_packet_.assign(lanes, kNoPacket);
@@ -107,7 +110,8 @@ Engine::Engine(const topology::NetView& network,
   for (NodeId node = 0; node < node_count; ++node) {
     if (traffic_ != nullptr && traffic_->node_active(node)) {
       node_next_arrival_[node] = traffic_->next_gap(node, rng_);
-      arrival_calendar_.emplace(fire_cycle(node_next_arrival_[node]), node);
+      arrival_calendar_.schedule(0, fire_cycle(node_next_arrival_[node]),
+                                 node);
     }
   }
 
@@ -251,6 +255,8 @@ PacketId Engine::inject_message(NodeId src, std::uint64_t dst,
                                 std::uint32_t length) {
   WORMSIM_CHECK_MSG(dst != src, "self-addressed message");
   WORMSIM_CHECK(length >= 1);
+  WORMSIM_CHECK_MSG(length <= 65535, "packets are limited to 65535 flits");
+  WORMSIM_DCHECK(dst < network_.node_count());
   if (config_.flow_control == FlowControlScheme::kVirtualCutThrough) {
     // Cut-through only grants a lane that can hold the whole packet, so a
     // packet longer than the buffer could never route at all.
@@ -260,10 +266,10 @@ PacketId Engine::inject_message(NodeId src, std::uint64_t dst,
   }
   PacketState pkt;
   pkt.src = src;
-  pkt.dst = dst;
-  pkt.length = length;
+  pkt.dst = static_cast<std::uint32_t>(dst);
+  pkt.length = static_cast<std::uint16_t>(length);
   pkt.create_cycle = cycle_;
-  pkt.measured = in_measure_window();
+  pkt.set_measured(in_measure_window());
   pkt.turn_stage = static_cast<std::uint8_t>(
       routing::make_query(network_, src, dst).turn_stage);
   const auto id = static_cast<PacketId>(packets_.size());
@@ -272,19 +278,18 @@ PacketId Engine::inject_message(NodeId src, std::uint64_t dst,
   enqueue_packet(src, id);
   trace(TraceEvent::Kind::kCreated, id, 0, topology::kInvalidId);
   if (wtrace_ != nullptr) {
-    wtrace_->on_created(id, cycle_, src, dst, length, pkt.measured);
+    wtrace_->on_created(id, cycle_, src, dst, length, pkt.measured());
   }
   return id;
 }
 
 void Engine::enqueue_packet(NodeId src, PacketId id) {
-  std::deque<PacketId>& queue = node_queue_[src];
+  PacketFifo& queue = node_queue_[src];
   if (queue.size() >= config_.queue_capacity) {
     ++result_.dropped_messages;
-    packets_[id].deliver_cycle = kNoCycle;
     return;
   }
-  queue.push_back(id);
+  queue.push_back(packets_, id);
   ++queued_messages_;
   if (node_tx_packet_[src] == kNoPacket) mark_tx_pending(src);
   if (in_measure_window()) {
@@ -298,14 +303,7 @@ void Engine::generate_arrivals() {
   const auto now = static_cast<double>(cycle_);
   // Drain every due calendar entry, then process the due nodes in id
   // order: the RNG draw sequence must match the original all-nodes scan.
-  due_nodes_.clear();
-  while (!arrival_calendar_.empty() &&
-         arrival_calendar_.top().first <= cycle_) {
-    due_nodes_.push_back(arrival_calendar_.top().second);
-    arrival_calendar_.pop();
-  }
-  if (due_nodes_.empty()) return;
-  std::sort(due_nodes_.begin(), due_nodes_.end());
+  arrival_calendar_.take_due(cycle_, due_nodes_);
   for (NodeId node : due_nodes_) {
     double next = node_next_arrival_[node];
     while (next <= now) {
@@ -320,7 +318,7 @@ void Engine::generate_arrivals() {
       next += std::max(traffic_->next_gap(node, rng_), 1e-9);
     }
     node_next_arrival_[node] = next;
-    arrival_calendar_.emplace(fire_cycle(next), node);
+    arrival_calendar_.schedule(cycle_, fire_cycle(next), node);
   }
 }
 
@@ -331,10 +329,9 @@ void Engine::start_transmissions() {
   if (tx_pending_.empty()) return;
   for (NodeId node : tx_pending_) {
     tx_pending_flag_[node] = 0;
-    std::deque<PacketId>& queue = node_queue_[node];
+    PacketFifo& queue = node_queue_[node];
     if (node_tx_packet_[node] == kNoPacket && !queue.empty()) {
-      node_tx_packet_[node] = queue.front();
-      queue.pop_front();
+      node_tx_packet_[node] = queue.pop_front(packets_);
       --queued_messages_;
       node_tx_sent_[node] = 0;
       ++transmitting_nodes_;
@@ -668,9 +665,8 @@ void Engine::terminate_worm(PacketId pid) {
   // (5) Account: delivered + terminated is the generalized conservation
   // the validator reconciles (flits ejected before the kill stay
   // delivered; sent - truncated of them were).
-  pkt.terminate_cycle = cycle_;
-  pkt.flits_sent_at_kill = sent;
-  pkt.flits_truncated = truncated;
+  pkt.mark_terminated(cycle_);
+  terminations_.push_back({pid, sent, truncated});
   ++result_.terminated_messages;
   result_.terminated_flits += truncated;
   --worms_in_flight_;
@@ -809,7 +805,7 @@ void Engine::move_from_node(NodeId node_id, LaneId lane) {
     schedule_channel(lane_channel_[route_out_[lane]]);
   }
   if (sent == 0) {
-    packets_[tx].inject_cycle = cycle_;
+    packets_[tx].mark_injected(cycle_);
     ++worms_in_flight_;
     if (wtrace_ != nullptr) wtrace_->on_injected(tx, cycle_);
     // A header behind an earlier worm's flits becomes routable only when
@@ -1074,18 +1070,18 @@ void Engine::deliver_flit(PacketId pkt_id, std::uint32_t seq) {
                      .channel(network_.ejection_channel(
                          static_cast<NodeId>(pkt.dst)))
                      .dst.id == pkt.dst);
-  pkt.deliver_cycle = cycle_;
+  pkt.mark_delivered(cycle_);
   --worms_in_flight_;
   if (wtrace_ != nullptr) wtrace_->on_delivered(pkt_id, cycle_);
   ++result_.delivered_messages_total;
-  if (pkt.measured) {
+  if (pkt.measured()) {
     const auto latency = static_cast<double>(cycle_ - pkt.create_cycle);
     result_.latency_cycles.add(latency);
     result_.latency_histogram.add(latency);
     result_.network_latency_cycles.add(
-        static_cast<double>(cycle_ - pkt.inject_cycle));
+        static_cast<double>(cycle_ - pkt.inject_cycle()));
     result_.queueing_cycles.add(
-        static_cast<double>(pkt.inject_cycle - pkt.create_cycle));
+        static_cast<double>(pkt.inject_cycle() - pkt.create_cycle));
   }
 }
 
@@ -1468,14 +1464,14 @@ SimResult Engine::run() {
   std::uint64_t last_resolved = 0;
   bool all_resolved = true;
   for (const PacketState& pkt : packets_) {
-    if (pkt.measured && !pkt.delivered()) {
+    if (pkt.measured() && !pkt.delivered()) {
       ++result_.measured_messages_unfinished;
     }
     if (pkt.create_cycle >= measure_end) continue;
     if (pkt.delivered()) {
-      last_resolved = std::max(last_resolved, pkt.deliver_cycle);
+      last_resolved = std::max(last_resolved, pkt.deliver_cycle());
     } else if (pkt.terminated()) {
-      last_resolved = std::max(last_resolved, pkt.terminate_cycle);
+      last_resolved = std::max(last_resolved, pkt.terminate_cycle());
     } else {
       // Still queued at a source (or dropped at creation): the pre-drain
       // population never resolved inside the drain budget.

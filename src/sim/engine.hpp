@@ -64,14 +64,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <queue>
 #include <utility>
 #include <vector>
 
 #include "routing/router.hpp"
 #include "sim/advance_team.hpp"
+#include "sim/arrival_calendar.hpp"
 #include "sim/config.hpp"
 #include "sim/fault_injection/state.hpp"
 #include "sim/flow_control/state.hpp"
@@ -112,6 +111,7 @@ class Engine {
   std::uint64_t cycle() const { return cycle_; }
 
   /// Queues a message at its source node, bypassing the traffic source.
+  /// `length` is at most 65535 flits.
   PacketId inject_message(topology::NodeId src, std::uint64_t dst,
                           std::uint32_t length);
 
@@ -465,16 +465,17 @@ class Engine {
   std::uint64_t queued_messages_ = 0;     ///< sum of source-queue lengths
 
   std::vector<PacketState> packets_;
+  // Kill accounting of every worm fault injection terminated, in kill
+  // order (empty in a fault-free run).
+  std::vector<Termination> terminations_;
   // Flit count per packet, dense: the per-flit paths (every switch move,
-  // injection, ejection) read this instead of the 64-byte PacketState.
+  // injection, ejection) read this instead of the 32-byte PacketState.
   std::vector<std::uint32_t> pkt_length_;
 
   // Per-node state, structure-of-arrays (DESIGN.md §12).  The hot advance
-  // loop touches only node_tx_packet_ (is the source streaming?); the
-  // queue deques — by far the widest field — live in their own cold
-  // array so a transmit-readiness probe never drags a deque header
-  // through the cache.
-  std::vector<std::deque<PacketId>> node_queue_;
+  // loop touches only node_tx_packet_ (is the source streaming?).  Each
+  // source queue is an intrusive FIFO linked through the packet records.
+  std::vector<PacketFifo> node_queue_;
   std::vector<PacketId> node_tx_packet_;
   std::vector<std::uint32_t> node_tx_sent_;
   std::vector<double> node_next_arrival_;
@@ -582,13 +583,10 @@ class Engine {
   std::vector<topology::NodeId> tx_pending_;
   std::vector<std::uint8_t> tx_pending_flag_;
 
-  // Arrival calendar: (first cycle the node's next_arrival is due, node).
-  // Due nodes are drained per cycle and processed in node-id order so the
-  // RNG draw sequence matches the original full scan.
-  std::priority_queue<std::pair<std::uint64_t, topology::NodeId>,
-                      std::vector<std::pair<std::uint64_t, topology::NodeId>>,
-                      std::greater<>>
-      arrival_calendar_;
+  // Arrival calendar: the first cycle each active node's next_arrival is
+  // due.  Due nodes are drained per cycle and processed in node-id order
+  // so the RNG draw sequence matches the original full scan.
+  ArrivalCalendar arrival_calendar_;
   std::vector<topology::NodeId> due_nodes_;
 
   // ---- Domain-partitioned parallel advance (DESIGN.md §12) -------------

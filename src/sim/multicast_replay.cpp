@@ -31,7 +31,7 @@ std::uint64_t simulate_makespan(const topology::Network& network,
     std::uint64_t round_makespan = 0;
     for (PacketId id : ids) {
       round_makespan =
-          std::max(round_makespan, engine.packet(id).deliver_cycle + 1);
+          std::max(round_makespan, engine.packet(id).deliver_cycle() + 1);
     }
     total += round_makespan;
   }

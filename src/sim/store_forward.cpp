@@ -112,11 +112,13 @@ PacketId StoreForwardEngine::inject_message(NodeId src, std::uint64_t dst,
                                             std::uint64_t when) {
   WORMSIM_CHECK_MSG(dst != src, "self-addressed message");
   WORMSIM_CHECK(length >= 1);
+  WORMSIM_CHECK_MSG(length <= 65535, "packets are limited to 65535 flits");
   WORMSIM_CHECK(when >= now_);
+  WORMSIM_DCHECK(dst < network_.node_count());
   PacketState pkt;
   pkt.src = src;
-  pkt.dst = dst;
-  pkt.length = length;
+  pkt.dst = static_cast<std::uint32_t>(dst);
+  pkt.length = static_cast<std::uint16_t>(length);
   pkt.create_cycle = when;
   pkt.turn_stage = static_cast<std::uint8_t>(
       routing::make_query(network_, src, dst).turn_stage);
@@ -126,9 +128,9 @@ PacketId StoreForwardEngine::inject_message(NodeId src, std::uint64_t dst,
     wtrace_->on_created(id, when, src, dst, length, false);
   }
   if (when == now_) {
-    packets_[id].measured = in_measure_window();
-    if (wtrace_ != nullptr) wtrace_->set_measured(id, packets_[id].measured);
-    nodes_[src].queue.push_back(id);
+    packets_[id].set_measured(in_measure_window());
+    if (wtrace_ != nullptr) wtrace_->set_measured(id, packets_[id].measured());
+    nodes_[src].queue.push_back(packets_, id);
     ++queued_packets_;
     mark_node_pending(src);
     pump();
@@ -151,7 +153,7 @@ bool StoreForwardEngine::start_transfer(PacketId pkt, LaneId from,
   if (from == kInvalidId) {
     PacketState& state = packets_[pkt];
     nodes_[state.src].transmitting = true;
-    state.inject_cycle = now_;
+    state.mark_injected(now_);
   } else {
     lanes_[from].transmitting = true;
   }
@@ -262,21 +264,21 @@ void StoreForwardEngine::pump() {
 
 void StoreForwardEngine::deliver(PacketId pkt_id) {
   PacketState& pkt = packets_[pkt_id];
-  pkt.deliver_cycle = now_;
+  pkt.mark_delivered(now_);
   if (wtrace_ != nullptr) wtrace_->on_sf_delivered(pkt_id, now_);
   ++result_.delivered_messages_total;
   delivered_flits_total_ += pkt.length;
   if (in_measure_window()) {
     result_.delivered_flits_in_window += pkt.length;
   }
-  if (pkt.measured) {
+  if (pkt.measured()) {
     const auto latency = static_cast<double>(now_ - pkt.create_cycle);
     result_.latency_cycles.add(latency);
     result_.latency_histogram.add(latency);
     result_.network_latency_cycles.add(
-        static_cast<double>(now_ - pkt.inject_cycle));
+        static_cast<double>(now_ - pkt.inject_cycle()));
     result_.queueing_cycles.add(
-        static_cast<double>(pkt.inject_cycle - pkt.create_cycle));
+        static_cast<double>(pkt.inject_cycle() - pkt.create_cycle));
   }
 }
 
@@ -290,7 +292,7 @@ void StoreForwardEngine::finish_transfer(const Transfer& transfer) {
     NodeState& node = nodes_[packets_[transfer.packet].src];
     WORMSIM_DCHECK(!node.queue.empty() &&
                    node.queue.front() == transfer.packet);
-    node.queue.pop_front();
+    node.queue.pop_front(packets_);
     --queued_packets_;
     node.transmitting = false;
     mark_node_pending(packets_[transfer.packet].src);
@@ -333,11 +335,9 @@ void StoreForwardEngine::finish_transfer(const Transfer& transfer) {
 void StoreForwardEngine::terminate_packet(PacketId pkt_id) {
   PacketState& pkt = packets_[pkt_id];
   WORMSIM_DCHECK(!pkt.delivered() && !pkt.terminated());
-  pkt.terminate_cycle = now_;
   // Packet granularity: the whole packet sat in (or was headed for) the
   // dead buffer, so every flit that left the source is truncated.
-  pkt.flits_sent_at_kill = pkt.length;
-  pkt.flits_truncated = pkt.length;
+  pkt.mark_terminated(now_);
   ++result_.terminated_messages;
   result_.terminated_flits += pkt.length;
   if (wtrace_ != nullptr) wtrace_->on_terminated(pkt_id, now_);
@@ -459,13 +459,13 @@ void StoreForwardEngine::process(const Event& event) {
       break;
     case Event::Kind::kInject: {
       PacketState& pkt = packets_[event.payload];
-      pkt.measured = in_measure_window();
+      pkt.set_measured(in_measure_window());
       if (wtrace_ != nullptr) {
         wtrace_->set_measured(static_cast<PacketId>(event.payload),
-                              pkt.measured);
+                              pkt.measured());
       }
-      nodes_[pkt.src].queue.push_back(
-          static_cast<PacketId>(event.payload));
+      nodes_[pkt.src].queue.push_back(packets_,
+                                      static_cast<PacketId>(event.payload));
       ++queued_packets_;
       mark_node_pending(static_cast<NodeId>(pkt.src));
       break;
@@ -508,14 +508,14 @@ SimResult StoreForwardEngine::run() {
   std::uint64_t last_resolved = 0;
   bool all_resolved = true;
   for (const PacketState& pkt : packets_) {
-    if (pkt.measured && !pkt.delivered()) {
+    if (pkt.measured() && !pkt.delivered()) {
       ++result_.measured_messages_unfinished;
     }
     if (pkt.create_cycle >= measure_end) continue;
     if (pkt.delivered()) {
-      last_resolved = std::max(last_resolved, pkt.deliver_cycle);
+      last_resolved = std::max(last_resolved, pkt.deliver_cycle());
     } else if (pkt.terminated()) {
-      last_resolved = std::max(last_resolved, pkt.terminate_cycle);
+      last_resolved = std::max(last_resolved, pkt.terminate_cycle());
     } else {
       all_resolved = false;
     }

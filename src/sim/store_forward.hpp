@@ -149,7 +149,7 @@ class StoreForwardEngine {
   };
 
   struct NodeState {
-    std::deque<PacketId> queue;
+    PacketFifo queue;  ///< source queue, linked through the packet records
     bool transmitting = false;
     bool active = false;
   };

@@ -71,6 +71,10 @@ class EngineValidator {
   /// Full structural sweep:
   ///   * flit conservation: buffer recount vs occupied_, one worm per
   ///     distinct buffered packet vs worms_in_flight_, node/queue counts;
+  ///   * source queues: each node's intrusive FIFO follows exactly
+  ///     `count` links from head to a null-linked tail, lists only
+  ///     waiting packets of that node, and the counts sum to
+  ///     queued_messages_;
   ///   * worm continuity: each worm's buffered seqs form one contiguous
   ///     run ending at its newest transmitted flit;
   ///   * lane exclusivity: alloc_owner_ / route_out_ form a bijection and
@@ -119,6 +123,7 @@ class EngineValidator {
   static constexpr std::uint64_t kSweepStride = 4;
 
   void check_buffers_and_counters();
+  void check_source_queues();
   void check_flow_control();
   void check_allocation();
   void check_routing_legality();

@@ -51,7 +51,7 @@ std::uint64_t solo_latency(const Network& net, std::uint64_t src,
   EXPECT_TRUE(engine.run_until_idle(100'000));
   const PacketState& pkt = engine.packet(id);
   EXPECT_TRUE(pkt.delivered());
-  return pkt.deliver_cycle - pkt.create_cycle;
+  return pkt.deliver_cycle() - pkt.create_cycle;
 }
 
 // ---- Zero-load latency -----------------------------------------------------
@@ -124,8 +124,8 @@ TEST(Engine, OutputContentionSerializesWorms) {
   const PacketId a = engine.inject_message(0, 7, len);
   const PacketId b = engine.inject_message(1, 7, len);
   ASSERT_TRUE(engine.run_until_idle(10'000));
-  std::uint64_t lat_a = engine.packet(a).deliver_cycle;
-  std::uint64_t lat_b = engine.packet(b).deliver_cycle;
+  std::uint64_t lat_a = engine.packet(a).deliver_cycle();
+  std::uint64_t lat_b = engine.packet(b).deliver_cycle();
   if (lat_a > lat_b) std::swap(lat_a, lat_b);
   EXPECT_EQ(lat_a, 4 + len - 2);        // winner unimpeded
   EXPECT_EQ(lat_b, 4 + len - 2 + len);  // loser delayed by one worm
@@ -174,7 +174,7 @@ std::pair<std::uint64_t, std::uint64_t> race_shared_segment(
   const PacketId b = engine.inject_message(
       static_cast<topology::NodeId>(seg.src_b), seg.dst_b, len);
   EXPECT_TRUE(engine.run_until_idle(100'000));
-  return {engine.packet(a).deliver_cycle, engine.packet(b).deliver_cycle};
+  return {engine.packet(a).deliver_cycle(), engine.packet(b).deliver_cycle()};
 }
 
 TEST(Engine, VirtualChannelsShareBandwidthFairly) {
@@ -225,8 +225,8 @@ TEST(Engine, SameSourceDestinationPairStaysFifo) {
   }
   ASSERT_TRUE(engine.run_until_idle(100'000));
   for (std::size_t i = 1; i < ids.size(); ++i) {
-    EXPECT_LT(engine.packet(ids[i - 1]).deliver_cycle,
-              engine.packet(ids[i]).deliver_cycle);
+    EXPECT_LT(engine.packet(ids[i - 1]).deliver_cycle(),
+              engine.packet(ids[i]).deliver_cycle());
   }
 }
 

@@ -90,7 +90,7 @@ TEST(ExtraStage, ZeroLoadLatencyUsesLongerPath) {
   const sim::PacketId id = engine.inject_message(0, 7, 10);
   ASSERT_TRUE(engine.run_until_idle(10'000));
   // Path length n + extra + 1 = 5 channels.
-  EXPECT_EQ(engine.packet(id).deliver_cycle, 5u + 10u - 2u);
+  EXPECT_EQ(engine.packet(id).deliver_cycle(), 5u + 10u - 2u);
 }
 
 TEST(ExtraStage, RelievesSharedChannelContention) {
@@ -110,8 +110,8 @@ TEST(ExtraStage, RelievesSharedChannelContention) {
     const sim::PacketId a = engine.inject_message(0b000, 0b111, len);
     const sim::PacketId b = engine.inject_message(0b100, 0b110, len);
     EXPECT_TRUE(engine.run_until_idle(10'000));
-    return std::max(engine.packet(a).deliver_cycle,
-                    engine.packet(b).deliver_cycle);
+    return std::max(engine.packet(a).deliver_cycle(),
+                    engine.packet(b).deliver_cycle());
   };
   const std::uint64_t serialized = race(0);
   EXPECT_GE(serialized, 2u * len - 10);

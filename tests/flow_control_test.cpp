@@ -68,7 +68,7 @@ std::vector<std::uint64_t> run_batch(const Network& net,
   EXPECT_TRUE(engine.run_until_idle(100'000));
   std::vector<std::uint64_t> cycles;
   for (PacketId id = 0; id < engine.packet_count(); ++id) {
-    cycles.push_back(engine.packet(id).deliver_cycle);
+    cycles.push_back(engine.packet(id).deliver_cycle());
   }
   return cycles;
 }
@@ -80,7 +80,7 @@ std::uint64_t lone_latency(const Network& net, const routing::Router& router,
   const PacketId id = engine.inject_message(0, 7, length);
   EXPECT_TRUE(engine.run_until_idle(100'000));
   const PacketState& pkt = engine.packet(id);
-  return pkt.deliver_cycle - pkt.inject_cycle;
+  return pkt.deliver_cycle() - pkt.inject_cycle();
 }
 
 class FlowControl : public ::testing::Test {
@@ -256,7 +256,7 @@ TEST_F(FlowControl, VctReconcilesWithStoreForward) {
     const PacketId id = sf.inject_message(0, 7, length);
     ASSERT_TRUE(sf.run_until_idle(1'000'000));
     const std::uint64_t sf_latency =
-        sf.packet(id).deliver_cycle - sf.packet(id).inject_cycle;
+        sf.packet(id).deliver_cycle() - sf.packet(id).inject_cycle();
 
     SCOPED_TRACE(length);
     EXPECT_EQ(vct_latency, length + hops - 2);

@@ -74,8 +74,8 @@ TEST_P(NetworkProperties, RandomBatchDeliversEverythingExactlyOnce) {
   for (sim::PacketId id : ids) {
     const sim::PacketState& pkt = engine.packet(id);
     EXPECT_TRUE(pkt.delivered());
-    EXPECT_GE(pkt.deliver_cycle, pkt.inject_cycle);
-    EXPECT_GE(pkt.inject_cycle, pkt.create_cycle);
+    EXPECT_GE(pkt.deliver_cycle(), pkt.inject_cycle());
+    EXPECT_GE(pkt.inject_cycle(), pkt.create_cycle);
   }
   EXPECT_EQ(engine.flits_in_flight(), 0);
 }
@@ -96,7 +96,7 @@ TEST_P(NetworkProperties, SoloLatencyMatchesRouterPathLength) {
     ASSERT_TRUE(engine.run_until_idle(50'000));
     const unsigned path_len =
         router->path_length(routing::make_query(net, src, dst));
-    EXPECT_EQ(engine.packet(id).deliver_cycle, path_len + len - 2u)
+    EXPECT_EQ(engine.packet(id).deliver_cycle(), path_len + len - 2u)
         << shape << " " << src << "->" << dst;
   }
 }

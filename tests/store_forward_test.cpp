@@ -46,7 +46,7 @@ TEST(StoreForward, SoloLatencyIsPathTimesLength) {
     StoreForwardEngine engine(net, *router, nullptr, manual_config());
     const PacketId id = engine.inject_message(0, 7, len);
     ASSERT_TRUE(engine.run_until_idle(1'000'000));
-    EXPECT_EQ(engine.packet(id).deliver_cycle, 4ull * len);
+    EXPECT_EQ(engine.packet(id).deliver_cycle(), 4ull * len);
   }
 }
 
@@ -60,7 +60,7 @@ TEST(StoreForward, LatencyIsDistanceSensitiveOnBmin) {
     const PacketId id = engine.inject_message(
         static_cast<topology::NodeId>(src), dst, len);
     EXPECT_TRUE(engine.run_until_idle(1'000'000));
-    return engine.packet(id).deliver_cycle;
+    return engine.packet(id).deliver_cycle();
   };
   EXPECT_EQ(latency(0b000, 0b001), 2ull * len);  // t = 0
   EXPECT_EQ(latency(0b000, 0b010), 4ull * len);  // t = 1
@@ -79,7 +79,7 @@ TEST(StoreForward, WormholeIsDistanceInsensitiveInComparison) {
     StoreForwardEngine engine(net, *router, nullptr, manual_config());
     const PacketId id = engine.inject_message(0, dst, len);
     EXPECT_TRUE(engine.run_until_idle(1'000'000));
-    return engine.packet(id).deliver_cycle;
+    return engine.packet(id).deliver_cycle();
   };
   auto wh_latency = [&](std::uint64_t dst) {
     SimConfig config;
@@ -89,7 +89,7 @@ TEST(StoreForward, WormholeIsDistanceInsensitiveInComparison) {
     Engine engine(net, *router, nullptr, config);
     const PacketId id = engine.inject_message(0, dst, len);
     EXPECT_TRUE(engine.run_until_idle(1'000'000));
-    return engine.packet(id).deliver_cycle;
+    return engine.packet(id).deliver_cycle();
   };
   EXPECT_EQ(sf_latency(0b100) - sf_latency(0b001), 4ull * len);
   EXPECT_EQ(wh_latency(0b100) - wh_latency(0b001), 4ull);
@@ -105,8 +105,8 @@ TEST(StoreForward, ContentionSerializesOnTheSharedChannel) {
   const PacketId a = engine.inject_message(0b000, 0b111, len);
   const PacketId b = engine.inject_message(0b100, 0b110, len);
   ASSERT_TRUE(engine.run_until_idle(1'000'000));
-  std::uint64_t first = engine.packet(a).deliver_cycle;
-  std::uint64_t second = engine.packet(b).deliver_cycle;
+  std::uint64_t first = engine.packet(a).deliver_cycle();
+  std::uint64_t second = engine.packet(b).deliver_cycle();
   if (first > second) std::swap(first, second);
   EXPECT_EQ(first, 4ull * len);
   // The loser's packet trails one packet-time behind on the shared hops.
@@ -183,7 +183,7 @@ TEST(StoreForward, DelayedInjectionHonorsTimestamp) {
   const PacketId id = engine.inject_message(0, 7, 10, /*when=*/500);
   ASSERT_TRUE(engine.run_until_idle(1'000'000));
   EXPECT_EQ(engine.packet(id).create_cycle, 500u);
-  EXPECT_EQ(engine.packet(id).deliver_cycle, 500u + 40u);
+  EXPECT_EQ(engine.packet(id).deliver_cycle(), 500u + 40u);
 }
 
 }  // namespace

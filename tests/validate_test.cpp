@@ -17,6 +17,7 @@
 #include "sim/store_forward.hpp"
 #include "sim/validate.hpp"
 #include "topology/network.hpp"
+#include "traffic/workload.hpp"
 
 namespace wormsim::sim {
 
@@ -47,6 +48,12 @@ struct EngineTestPeer {
   static std::vector<PacketState>& packets(Engine& e) { return e.packets_; }
   static std::vector<std::uint32_t>& pkt_length(Engine& e) {
     return e.pkt_length_;
+  }
+  static std::vector<PacketFifo>& node_queue(Engine& e) {
+    return e.node_queue_;
+  }
+  static std::uint64_t& queued_messages(Engine& e) {
+    return e.queued_messages_;
   }
   static std::int64_t& occupied(Engine& e) { return e.occupied_; }
   static std::int64_t& worms_in_flight(Engine& e) {
@@ -213,6 +220,52 @@ TEST_F(EngineCorruption, LengthArrayDriftTripsPacketLength) {
         EngineTestPeer::validator(engine_).check_cycle_end();
       },
       "invariant 'packet-length'.*length array says");
+}
+
+TEST_F(EngineCorruption, LinkCycleTripsSourceQueue) {
+  // Three more messages behind the transmitting one wait in node 0's
+  // source FIFO.
+  for (int i = 0; i < 3; ++i) engine_.inject_message(0, 5, 4);
+  step_until([&] { return engine_.source_queue_length(0) == 3; });
+  EXPECT_DEATH(
+      {
+        // Link the tail back to the head: the walk never meets a null
+        // link after `count` packets.
+        PacketFifo& queue = EngineTestPeer::node_queue(engine_)[0];
+        EngineTestPeer::packets(engine_)[queue.tail].queue_next = queue.head;
+        EngineTestPeer::validator(engine_).check_cycle_end();
+      },
+      "invariant 'source-queue'.*links on to");
+}
+
+TEST_F(EngineCorruption, ForeignPacketTripsSourceQueue) {
+  for (int i = 0; i < 2; ++i) engine_.inject_message(0, 5, 4);
+  engine_.inject_message(3, 6, 4);
+  step_until([&] { return engine_.source_queue_length(0) == 2; });
+  EXPECT_DEATH(
+      {
+        // Splice node 3's packet into node 0's list (count kept in step).
+        auto& queues = EngineTestPeer::node_queue(engine_);
+        auto& packets = EngineTestPeer::packets(engine_);
+        const PacketId foreign = static_cast<PacketId>(packets.size() - 1);
+        packets[queues[0].tail].queue_next = foreign;
+        packets[foreign].queue_next = kNoPacket;
+        queues[0].tail = foreign;
+        ++queues[0].count;
+        EngineTestPeer::validator(engine_).check_cycle_end();
+      },
+      "invariant 'source-queue'.*another node's");
+}
+
+TEST_F(EngineCorruption, QueuedCounterTripsSourceQueue) {
+  engine_.inject_message(0, 5, 4);
+  step_until([&] { return engine_.source_queue_length(0) == 1; });
+  EXPECT_DEATH(
+      {
+        ++EngineTestPeer::queued_messages(engine_);
+        EngineTestPeer::validator(engine_).check_cycle_end();
+      },
+      "invariant 'source-queue'.*counter says");
 }
 
 TEST_F(EngineCorruption, StaleEpochStampCaught) {
@@ -482,7 +535,8 @@ TEST_F(EngineCorruption, TerminatedButBufferedTripsFaultTermination) {
       {
         // Stamp the in-flight worm terminated while its flits stay
         // buffered — a kill that forgot the truncate-and-drain half.
-        EngineTestPeer::packets(engine_)[pid_].terminate_cycle = 1;
+        EngineTestPeer::packets(engine_)[pid_].mark_terminated(
+            EngineTestPeer::cycle(engine_));
         EngineTestPeer::validator(engine_).check_cycle_end();
       },
       "invariant 'fault-termination'.*still buffered");
@@ -612,6 +666,37 @@ TEST_F(StoreForwardCorruption, PhantomTransmitFlagCaught) {
 
 // The validator must be a pure observer: the same run with and without it
 // produces bit-identical results (the golden-digest guarantee).
+// Regression: at buffer depth > 1 a held route's output FIFO can still
+// hold the previous worm's tail flits after the input FIFO drained, so
+// the routing-legality sweep must judge the route by the worm holding it
+// (the youngest flit there), not by the FIFO head.  This BMIN cut-through
+// run used to abort with a false 'routing-legality' violation at cycle
+// 2583 (a forward-phase worm seemingly leaving through a left-side port).
+TEST(Validation, DeepFifoRouteJudgedByItsHolder) {
+  NetworkConfig config = net_config(NetworkKind::kBMIN, "cube", 2, 3);
+  config.dilation = 2;
+  config.vcs = 2;
+  const Network net = topology::build_network(config);
+  const auto router = routing::make_router(net);
+  traffic::WorkloadSpec workload;
+  workload.offered = 0.45;
+  workload.length = traffic::LengthSpec::uniform(4, 64);
+  traffic::StandardTraffic traffic(net, workload);
+  SimConfig sim;
+  sim.seed = 7;
+  sim.warmup_cycles = 500;
+  sim.measure_cycles = 2'500;
+  sim.drain_cycles = 0;
+  sim.flow_control = FlowControlScheme::kVirtualCutThrough;
+  sim.buffer_depth = 64;
+  sim.credit_delay = 2;
+  sim.validate = true;
+  Engine engine(net, *router, &traffic, sim);
+  const SimResult result = engine.run();
+  EXPECT_GT(result.delivered_messages_total, 0u);
+  EXPECT_GT(EngineTestPeer::validator(engine).sweeps_run(), 600u);
+}
+
 TEST(Validation, ValidatedRunMatchesUnvalidatedRun) {
   const Network net = topology::build_network(
       net_config(NetworkKind::kBMIN, "butterfly", 2, 3));
@@ -630,7 +715,7 @@ TEST(Validation, ValidatedRunMatchesUnvalidatedRun) {
   }
   ASSERT_EQ(a.packet_count(), b.packet_count());
   for (PacketId id = 0; id < a.packet_count(); ++id) {
-    EXPECT_EQ(a.packet(id).deliver_cycle, b.packet(id).deliver_cycle);
+    EXPECT_EQ(a.packet(id).deliver_cycle(), b.packet(id).deliver_cycle());
   }
   EXPECT_GT(EngineTestPeer::validator(b).sweeps_run(), 0u);
 }
