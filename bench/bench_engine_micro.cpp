@@ -659,7 +659,7 @@ void write_engine_baseline(const std::string& dir, std::uint64_t cycles,
           .count();
 
   telemetry::JsonValue trajectory_entry = telemetry::JsonValue::object();
-  trajectory_entry.set("label", "consumer-first advance pass");
+  trajectory_entry.set("label", "32-byte packet records, intrusive source queues");
   trajectory_entry.set(
       "geomean_cycles_per_second_telemetry_off",
       geomean_count > 0 ? std::exp(geomean_log_sum / geomean_count) : 0.0);
