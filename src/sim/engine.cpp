@@ -49,7 +49,7 @@ Engine::Engine(const topology::NetView& network,
   const std::size_t lanes = network_.lane_count();
   const std::size_t channels = network_.channel_count();
   buf_packet_.assign(lanes, kNoPacket);
-  buf_seq_.assign(lanes, 0);
+  buf_flit_.assign(lanes, Flit{});
   arrived_epoch_.assign(lanes, 0);
   route_out_.assign(lanes, kInvalidId);
   alloc_owner_.assign(lanes, kInvalidId);
@@ -105,6 +105,7 @@ Engine::Engine(const topology::NetView& network,
   node_queue_.resize(node_count);
   node_tx_packet_.assign(node_count, kNoPacket);
   node_tx_sent_.assign(node_count, 0);
+  node_tx_len_.assign(node_count, 0);
   node_next_arrival_.assign(node_count, 0.0);
   tx_pending_flag_.assign(node_count, 0);
   for (NodeId node = 0; node < node_count; ++node) {
@@ -274,7 +275,6 @@ PacketId Engine::inject_message(NodeId src, std::uint64_t dst,
       routing::make_query(network_, src, dst).turn_stage);
   const auto id = static_cast<PacketId>(packets_.size());
   packets_.push_back(pkt);
-  pkt_length_.push_back(length);
   enqueue_packet(src, id);
   trace(TraceEvent::Kind::kCreated, id, 0, topology::kInvalidId);
   if (wtrace_ != nullptr) {
@@ -331,9 +331,11 @@ void Engine::start_transmissions() {
     tx_pending_flag_[node] = 0;
     PacketFifo& queue = node_queue_[node];
     if (node_tx_packet_[node] == kNoPacket && !queue.empty()) {
-      node_tx_packet_[node] = queue.pop_front(packets_);
+      const PacketId id = queue.pop_front(packets_);
+      node_tx_packet_[node] = id;
       --queued_messages_;
       node_tx_sent_[node] = 0;
+      node_tx_len_[node] = packets_[id].length;
       ++transmitting_nodes_;
       activate_channel(network_.injection_channel(node));
     }
@@ -370,7 +372,7 @@ void Engine::route_and_allocate() {
   const auto serve = [&](std::uint32_t pos) {
     const LaneId u = switch_input_lanes_[pos];
     WORMSIM_DCHECK(buf_packet_[u] != kNoPacket);
-    WORMSIM_DCHECK(buf_seq_[u] == 0);
+    WORMSIM_DCHECK(buf_flit_[u].seq() == 0);
     WORMSIM_DCHECK(route_out_[u] == kInvalidId);
     const PacketId pid = buf_packet_[u];
     // Router::candidates is pure in (packet, lane) and packet ids are
@@ -416,7 +418,7 @@ void Engine::route_and_allocate() {
       if (channel_faulty_.test(lane_channel_[lane])) continue;
       any_alive = true;
       if (vct && lane_scan_pos_[lane] != kInvalidId &&
-          !fc_.can_accept_packet(lane, pkt_length_[pid])) {
+          !fc_.can_accept_packet(lane, packets_[pid].length)) {
         if (credit_gated == kInvalidId) credit_gated = lane;
         continue;
       }
@@ -527,18 +529,18 @@ std::uint32_t Engine::fc_remove_packet(LaneId lane, PacketId pid) {
   const std::size_t base = fc_.ext_base(lane);
   // Gather the survivors in FIFO order (head slot, then extensions).
   std::vector<PacketId> keep_pkt;
-  std::vector<std::uint32_t> keep_seq;
+  std::vector<Flit> keep_flit;
   std::vector<std::uint64_t> keep_epoch;
   const bool head_removed = buf_packet_[lane] == pid;
   if (!head_removed) {
     keep_pkt.push_back(buf_packet_[lane]);
-    keep_seq.push_back(buf_seq_[lane]);
+    keep_flit.push_back(buf_flit_[lane]);
     keep_epoch.push_back(arrived_epoch_[lane]);
   }
   for (std::uint32_t s = 0; s + 1 < count; ++s) {
     if (fc_.ext_packet[base + s] == pid) continue;
     keep_pkt.push_back(fc_.ext_packet[base + s]);
-    keep_seq.push_back(fc_.ext_seq[base + s]);
+    keep_flit.push_back(fc_.ext_flit[base + s]);
     keep_epoch.push_back(fc_.ext_epoch[base + s]);
   }
   const auto kept = static_cast<std::uint32_t>(keep_pkt.size());
@@ -548,7 +550,7 @@ std::uint32_t Engine::fc_remove_packet(LaneId lane, PacketId pid) {
   // Unregister the worm's unrouted header if it sat at this head slot
   // (the bit state is authoritative: set iff an unrouted header is
   // registered — a granted header already cleared it).
-  if (head_removed && buf_seq_[lane] == 0 &&
+  if (head_removed && buf_flit_[lane].seq() == 0 &&
       lane_scan_pos_[lane] != kInvalidId &&
       header_bits_.test(lane_scan_pos_[lane])) {
     header_bits_.clear(lane_scan_pos_[lane]);
@@ -561,11 +563,11 @@ std::uint32_t Engine::fc_remove_packet(LaneId lane, PacketId pid) {
   occupied_ -= removed;
   if (kept > 0) {
     buf_packet_[lane] = keep_pkt[0];
-    buf_seq_[lane] = keep_seq[0];
+    buf_flit_[lane] = keep_flit[0];
     arrived_epoch_[lane] = keep_epoch[0];
     for (std::uint32_t s = 0; s + 1 < kept; ++s) {
       fc_.ext_packet[base + s] = keep_pkt[s + 1];
-      fc_.ext_seq[base + s] = keep_seq[s + 1];
+      fc_.ext_flit[base + s] = keep_flit[s + 1];
       fc_.ext_epoch[base + s] = keep_epoch[s + 1];
     }
   } else {
@@ -573,14 +575,14 @@ std::uint32_t Engine::fc_remove_packet(LaneId lane, PacketId pid) {
   }
   for (std::uint32_t s = kept > 0 ? kept - 1 : 0; s + 1 < count; ++s) {
     fc_.ext_packet[base + s] = kNoPacket;
-    fc_.ext_seq[base + s] = 0;
+    fc_.ext_flit[base + s] = Flit{};
     fc_.ext_epoch[base + s] = 0;
   }
 
   // A survivor promoted into the head slot can only be a header: a worm
   // queued behind the removed one has popped nothing yet, so its oldest
   // present flit is seq 0.  Register it.
-  if (head_removed && kept > 0 && buf_seq_[lane] == 0 &&
+  if (head_removed && kept > 0 && buf_flit_[lane].seq() == 0 &&
       lane_scan_pos_[lane] != kInvalidId) {
     WORMSIM_DCHECK(route_out_[lane] == kInvalidId);
     add_header_lane(lane);
@@ -798,7 +800,8 @@ template <Engine::AdvanceMode M>
 void Engine::move_from_node(NodeId node_id, LaneId lane) {
   const PacketId tx = node_tx_packet_[node_id];
   const std::uint32_t sent = node_tx_sent_[node_id];
-  const bool was_head = push_flit<M>(lane, tx, sent);
+  const bool tail = sent + 1 == node_tx_len_[node_id];
+  const bool was_head = push_flit<M>(lane, tx, Flit(sent, tail));
   // The arrived flit can cross its (already routed) next hop next cycle.
   // A flit landing behind the head changes nothing about readiness.
   if (was_head && route_out_[lane] != kInvalidId) {
@@ -819,7 +822,7 @@ void Engine::move_from_node(NodeId node_id, LaneId lane) {
   }
   trace(TraceEvent::Kind::kFlitMoved, tx, sent, lane);
   node_tx_sent_[node_id] = sent + 1;
-  if (sent + 1 == pkt_length_[tx]) {
+  if (tail) {
     node_tx_packet_[node_id] = kNoPacket;
     node_tx_sent_[node_id] = 0;
     --transmitting_nodes_;
@@ -832,8 +835,9 @@ template <Engine::AdvanceMode M>
 void Engine::move_from_switch(LaneId in_lane, LaneId out_lane,
                               std::uint32_t pass) {
   const PacketId pkt_id = buf_packet_[in_lane];
-  const std::uint32_t seq = buf_seq_[in_lane];
-  const bool tail = seq + 1 == pkt_length_[pkt_id];
+  const Flit flit = buf_flit_[in_lane];
+  const std::uint32_t seq = flit.seq();
+  const bool tail = flit.is_tail();
   const ChannelId out_ch = lane_channel_[out_lane];
   const ChannelId up_ch = lane_channel_[in_lane];
 
@@ -860,14 +864,14 @@ void Engine::move_from_switch(LaneId in_lane, LaneId out_lane,
       trace(TraceEvent::Kind::kDelivered, pkt_id, seq, topology::kInvalidId);
     }
     if constexpr (M == AdvanceMode::kFixpoint) {
-      deliver_flit(pkt_id, seq);
+      deliver_flit(pkt_id, flit);
     } else {
       // Ejections are all pass-1 moves of the fixpoint, which applied them
       // in ascending channel order: replay them that way after the pass.
-      cf_deliveries_.push_back({pkt_id, seq});
+      cf_deliveries_.push_back({pkt_id, flit});
     }
   } else {
-    const bool was_head = push_flit<M>(out_lane, pkt_id, seq);
+    const bool was_head = push_flit<M>(out_lane, pkt_id, flit);
     if (was_head && seq == 0) {
       add_header_lane(out_lane);
       if (wtrace_ != nullptr) {
@@ -888,7 +892,7 @@ void Engine::move_from_switch(LaneId in_lane, LaneId out_lane,
     if (wtrace_ != nullptr) wtrace_->on_lane_released(out_lane);
     // A deeper FIFO can already hold the next worm's header; it becomes
     // routable the moment the previous tail clears the head slot.
-    if (fc_.count[in_lane] > 0 && buf_seq_[in_lane] == 0) {
+    if (fc_.count[in_lane] > 0 && buf_flit_[in_lane].seq() == 0) {
       add_header_lane(in_lane);
       if (wtrace_ != nullptr) {
         wtrace_->on_header_arrival(buf_packet_[in_lane], in_lane, cycle_);
@@ -898,26 +902,26 @@ void Engine::move_from_switch(LaneId in_lane, LaneId out_lane,
 }
 
 template <Engine::AdvanceMode M>
-bool Engine::push_flit(LaneId lane, PacketId pkt, std::uint32_t seq) {
+bool Engine::push_flit(LaneId lane, PacketId pkt, Flit flit) {
   if constexpr (M == AdvanceMode::kFixpoint) {
-    return fc_push(lane, pkt, seq);
+    return fc_push(lane, pkt, flit);
   } else {
-    const bool was_head = fc_push_slot(lane, pkt, seq);
+    const bool was_head = fc_push_slot(lane, pkt, flit);
     --fc_.credits[lane];
     return was_head;
   }
 }
 
-bool Engine::fc_push_slot(LaneId lane, PacketId pkt, std::uint32_t seq) {
+bool Engine::fc_push_slot(LaneId lane, PacketId pkt, Flit flit) {
   const bool was_head = fc_.count[lane] == 0;
   if (was_head) {
     buf_packet_[lane] = pkt;
-    buf_seq_[lane] = seq;
+    buf_flit_[lane] = flit;
     arrived_epoch_[lane] = epoch_;
   } else {
     const std::size_t slot = fc_.ext_base(lane) + (fc_.count[lane] - 1);
     fc_.ext_packet[slot] = pkt;
-    fc_.ext_seq[slot] = seq;
+    fc_.ext_flit[slot] = flit;
     fc_.ext_epoch[slot] = epoch_;
   }
   ++fc_.count[lane];
@@ -925,8 +929,8 @@ bool Engine::fc_push_slot(LaneId lane, PacketId pkt, std::uint32_t seq) {
   return was_head;
 }
 
-bool Engine::fc_push(LaneId lane, PacketId pkt, std::uint32_t seq) {
-  const bool was_head = fc_push_slot(lane, pkt, seq);
+bool Engine::fc_push(LaneId lane, PacketId pkt, Flit flit) {
+  const bool was_head = fc_push_slot(lane, pkt, flit);
   if (fc_.scheme == FlowControlScheme::kOnOff) {
     // Occupancy rose to the stop level: tell the sender to pause.  The
     // threshold leaves room for the flits still sendable while the signal
@@ -951,15 +955,15 @@ void Engine::fc_pop_slot(LaneId lane) {
     // waits a cycle before crossing the next channel.
     const std::size_t base = fc_.ext_base(lane);
     buf_packet_[lane] = fc_.ext_packet[base];
-    buf_seq_[lane] = fc_.ext_seq[base];
+    buf_flit_[lane] = fc_.ext_flit[base];
     arrived_epoch_[lane] = fc_.ext_epoch[base];
     for (std::uint32_t s = 0; s + 1 < remaining; ++s) {
       fc_.ext_packet[base + s] = fc_.ext_packet[base + s + 1];
-      fc_.ext_seq[base + s] = fc_.ext_seq[base + s + 1];
+      fc_.ext_flit[base + s] = fc_.ext_flit[base + s + 1];
       fc_.ext_epoch[base + s] = fc_.ext_epoch[base + s + 1];
     }
     fc_.ext_packet[base + remaining - 1] = kNoPacket;
-    fc_.ext_seq[base + remaining - 1] = 0;
+    fc_.ext_flit[base + remaining - 1] = Flit{};
     fc_.ext_epoch[base + remaining - 1] = 0;
   } else {
     buf_packet_[lane] = kNoPacket;
@@ -1059,12 +1063,12 @@ bool Engine::upstream_has_flit(LaneId lane) const {
   return owner != kInvalidId && buf_packet_[owner] != kNoPacket;
 }
 
-void Engine::deliver_flit(PacketId pkt_id, std::uint32_t seq) {
+void Engine::deliver_flit(PacketId pkt_id, Flit flit) {
   if (in_measure_window()) {
     ++result_.delivered_flits_in_window;
   }
   ++delivered_flits_total_;
-  if (seq + 1 != pkt_length_[pkt_id]) return;
+  if (!flit.is_tail()) return;
   PacketState& pkt = packets_[pkt_id];
   WORMSIM_DCHECK(network_
                      .channel(network_.ejection_channel(
@@ -1412,15 +1416,18 @@ void Engine::report_deadlock() const {
     const PacketState& pkt = packets_[buf_packet_[lane]];
     const PhysChannel ch = network_.lane_channel(lane);
     std::fprintf(stderr,
-                 "  lane %u (channel %u role %d) holds packet %u seq %u "
+                 "  lane %u (channel %u role %d) holds packet %u seq %u%s "
                  "(src %llu dst %llu len %u)\n",
                  lane, ch.id, static_cast<int>(ch.role), buf_packet_[lane],
-                 buf_seq_[lane], static_cast<unsigned long long>(pkt.src),
+                 buf_flit_[lane].seq(),
+                 buf_flit_[lane].is_tail() ? " (tail)" : "",
+                 static_cast<unsigned long long>(pkt.src),
                  static_cast<unsigned long long>(pkt.dst), pkt.length);
     for (std::uint32_t s = 0; s + 1 < fc_.count[lane]; ++s) {
       const std::size_t slot = fc_.ext_base(lane) + s;
-      std::fprintf(stderr, "    fifo slot %u holds packet %u seq %u\n",
-                   s + 1, fc_.ext_packet[slot], fc_.ext_seq[slot]);
+      std::fprintf(stderr, "    fifo slot %u holds packet %u seq %u%s\n",
+                   s + 1, fc_.ext_packet[slot], fc_.ext_flit[slot].seq(),
+                   fc_.ext_flit[slot].is_tail() ? " (tail)" : "");
     }
   }
   if (!fc_.events.empty()) {

@@ -272,9 +272,10 @@ class Engine {
   /// Pushes one flit into `lane` with its sender-side accounting.  Returns
   /// true when the flit landed at the head slot.
   template <AdvanceMode M>
-  bool push_flit(topology::LaneId lane, PacketId pkt, std::uint32_t seq);
-  /// Stats and tracer bookkeeping for one ejected flit.
-  void deliver_flit(PacketId pkt, std::uint32_t seq);
+  bool push_flit(topology::LaneId lane, PacketId pkt, Flit flit);
+  /// Stats and tracer bookkeeping for one ejected flit; the packet record
+  /// is read only when `flit` is the tail.
+  void deliver_flit(PacketId pkt, Flit flit);
   void enqueue_packet(topology::NodeId src, PacketId id);
   bool in_measure_window() const {
     return cycle_ >= config_.warmup_cycles &&
@@ -319,13 +320,13 @@ class Engine {
   void drain_flow_control_events();
   /// Buffer side of a push: stores one flit in `lane`'s input FIFO (head
   /// slot or extension).  Returns true when it landed at the head slot.
-  bool fc_push_slot(topology::LaneId lane, PacketId pkt, std::uint32_t seq);
+  bool fc_push_slot(topology::LaneId lane, PacketId pkt, Flit flit);
   /// Buffer side of a pop: removes `lane`'s head flit and promotes the
   /// next FIFO slot.
   void fc_pop_slot(topology::LaneId lane);
   /// Push with the fixpoint's sender-side accounting (credit decrement /
   /// STOP emission).  Returns true when the flit landed at the head slot.
-  bool fc_push(topology::LaneId lane, PacketId pkt, std::uint32_t seq);
+  bool fc_push(topology::LaneId lane, PacketId pkt, Flit flit);
   /// Pop with the fixpoint's sender-side accounting: returns the freed
   /// slot upstream (inline when credit_delay is 0, as a calendar event
   /// otherwise).
@@ -468,24 +469,27 @@ class Engine {
   // Kill accounting of every worm fault injection terminated, in kill
   // order (empty in a fault-free run).
   std::vector<Termination> terminations_;
-  // Flit count per packet, dense: the per-flit paths (every switch move,
-  // injection, ejection) read this instead of the 32-byte PacketState.
-  std::vector<std::uint32_t> pkt_length_;
 
   // Per-node state, structure-of-arrays (DESIGN.md §12).  The hot advance
-  // loop touches only node_tx_packet_ (is the source streaming?).  Each
-  // source queue is an intrusive FIFO linked through the packet records.
+  // loop touches only the transmission triple: node_tx_packet_ (is the
+  // source streaming?), the flits it has sent, and the message's length,
+  // copied from the record when the transmission starts so injecting a
+  // flit never reads the record.  Each source queue is an intrusive FIFO
+  // linked through the packet records.
   std::vector<PacketFifo> node_queue_;
   std::vector<PacketId> node_tx_packet_;
   std::vector<std::uint32_t> node_tx_sent_;
+  std::vector<std::uint16_t> node_tx_len_;
   std::vector<double> node_next_arrival_;
 
-  // Per-lane state, indexed by LaneId.  buf_packet_/buf_seq_/
+  // Per-lane state, indexed by LaneId.  buf_packet_/buf_flit_/
   // arrived_epoch_ are the *head slot* of each lane's input FIFO; the
   // slots behind it (buffer_depth > 1) and all sender-side gating live
-  // in fc_ (itself lane-major structure-of-arrays).
+  // in fc_ (itself lane-major structure-of-arrays).  A slot's Flit holds
+  // the sequence number and the tail flag, so a hop never reads
+  // per-packet state to decide whether it releases its lanes.
   std::vector<PacketId> buf_packet_;
-  std::vector<std::uint32_t> buf_seq_;
+  std::vector<Flit> buf_flit_;
   std::vector<std::uint64_t> arrived_epoch_;   // epoch the buffer was filled
   std::vector<topology::LaneId> route_out_;    // input-unit worm route
   std::vector<topology::LaneId> alloc_owner_;  // output-lane allocation
@@ -565,7 +569,7 @@ class Engine {
   bool consumer_first_ = false;
   bool multi_lane_ = false;  // some channel has more than one lane
   std::vector<std::uint64_t> pop_stamp_;
-  std::vector<std::pair<PacketId, std::uint32_t>> cf_deliveries_;
+  std::vector<std::pair<PacketId, Flit>> cf_deliveries_;
   static constexpr std::uint64_t kNoTraceKey = ~std::uint64_t{0};
   std::uint64_t trace_key_ = kNoTraceKey;  // (pass, channel) of the move
   std::vector<std::pair<std::uint64_t, TraceEvent>> staged_traces_;

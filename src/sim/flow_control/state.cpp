@@ -48,11 +48,11 @@ void FlowControlState::configure(std::size_t lane_count, FlowControlScheme s,
   if (depth > 1) {
     const std::size_t slots = lane_count * (depth - 1);
     ext_packet.assign(slots, kNoPacket);
-    ext_seq.assign(slots, 0);
+    ext_flit.assign(slots, Flit{});
     ext_epoch.assign(slots, 0);
   } else {
     ext_packet.clear();
-    ext_seq.clear();
+    ext_flit.clear();
     ext_epoch.clear();
   }
   events.clear();

@@ -1,6 +1,6 @@
 // Per-lane buffer and backpressure state for the flow-control subsystem.
 //
-// The engine's legacy per-lane head arrays (buf_packet_ / buf_seq_ /
+// The engine's legacy per-lane head arrays (buf_packet_ / buf_flit_ /
 // arrived_epoch_) stay the *head slot* of every lane FIFO: slot 0 lives
 // at a fixed index, so every consumer that reasons about "the buffered
 // flit of lane L" — the validator, the test peers, buffered_packet() —
@@ -74,9 +74,10 @@ struct FlowControlState {
 
   // Extension slots, lane-major: slot s of lane L (holding the (s+1)-th
   // oldest flit) lives at index L * (depth - 1) + s.  Unoccupied slots
-  // hold kNoPacket so the validator can re-derive occupancy exactly.
+  // hold kNoPacket (and Flit{}) so the validator can re-derive occupancy
+  // exactly.
   std::vector<PacketId> ext_packet;
-  std::vector<std::uint32_t> ext_seq;
+  std::vector<Flit> ext_flit;
   std::vector<std::uint64_t> ext_epoch;
 
   /// Backpressure calendar; front() is always the earliest due event.

@@ -77,6 +77,9 @@ class EngineValidator {
   ///     queued_messages_;
   ///   * worm continuity: each worm's buffered seqs form one contiguous
   ///     run ending at its newest transmitted flit;
+  ///   * flit tails: every buffered flit's tail flag is set iff it is its
+  ///     worm's last flit, and every transmitting node's recorded length
+  ///     is its message's length (the per-flit paths trust both);
   ///   * lane exclusivity: alloc_owner_ / route_out_ form a bijection and
   ///     both ends of an allocation carry the same worm in order;
   ///   * routing legality: every held route obeys the destination-tag
@@ -123,6 +126,10 @@ class EngineValidator {
   static constexpr std::uint64_t kSweepStride = 4;
 
   void check_buffers_and_counters();
+  /// `flit`, buffered in `lane`'s FIFO slot `slot` (0 = head), carries
+  /// the tail flag iff it is packet `pid`'s last flit (`flit-tail`).
+  void check_tail_flag(Flit flit, PacketId pid, topology::LaneId lane,
+                       std::uint32_t slot) const;
   void check_source_queues();
   void check_flow_control();
   void check_allocation();

@@ -26,7 +26,7 @@ namespace wormsim::sim {
 // demand.
 struct EngineTestPeer {
   static std::vector<PacketId>& buf_packet(Engine& e) { return e.buf_packet_; }
-  static std::vector<std::uint32_t>& buf_seq(Engine& e) { return e.buf_seq_; }
+  static std::vector<Flit>& buf_flit(Engine& e) { return e.buf_flit_; }
   static std::vector<std::uint64_t>& arrived_epoch(Engine& e) {
     return e.arrived_epoch_;
   }
@@ -46,8 +46,8 @@ struct EngineTestPeer {
     return e.domain_begin_;
   }
   static std::vector<PacketState>& packets(Engine& e) { return e.packets_; }
-  static std::vector<std::uint32_t>& pkt_length(Engine& e) {
-    return e.pkt_length_;
+  static std::vector<std::uint16_t>& node_tx_len(Engine& e) {
+    return e.node_tx_len_;
   }
   static std::vector<PacketFifo>& node_queue(Engine& e) {
     return e.node_queue_;
@@ -204,22 +204,33 @@ TEST_F(EngineCorruption, SeqBeyondLengthTripsWormContiguity) {
   EXPECT_DEATH(
       {
         const LaneId lane = buffered_lane();
-        EngineTestPeer::buf_seq(engine_)[lane] = 1'000;
+        Flit& flit = EngineTestPeer::buf_flit(engine_)[lane];
+        flit = Flit(1'000, flit.is_tail());
         EngineTestPeer::validator(engine_).check_cycle_end();
       },
       "invariant 'worm-contiguity'.*beyond packet");
 }
 
-TEST_F(EngineCorruption, LengthArrayDriftTripsPacketLength) {
+TEST_F(EngineCorruption, FlippedTailFlagTripsFlitTail) {
   step_until([&] { return buffered_lane() != kInvalidId; });
   EXPECT_DEATH(
       {
-        const PacketId pid =
-            EngineTestPeer::buf_packet(engine_)[buffered_lane()];
-        ++EngineTestPeer::pkt_length(engine_)[pid];
+        Flit& flit = EngineTestPeer::buf_flit(engine_)[buffered_lane()];
+        flit = Flit(flit.seq(), !flit.is_tail());
         EngineTestPeer::validator(engine_).check_cycle_end();
       },
-      "invariant 'packet-length'.*length array says");
+      "invariant 'flit-tail'.*the tail flag, but the packet has");
+}
+
+TEST_F(EngineCorruption, NodeLengthDriftTripsFlitTail) {
+  step_until([&] { return engine_.flits_in_flight() > 0; });
+  EXPECT_DEATH(
+      {
+        // Node 0 is still streaming its message.
+        ++EngineTestPeer::node_tx_len(engine_)[0];
+        EngineTestPeer::validator(engine_).check_cycle_end();
+      },
+      "invariant 'flit-tail'.*node 0 records");
 }
 
 TEST_F(EngineCorruption, LinkCycleTripsSourceQueue) {
