@@ -7,13 +7,7 @@
 
 #include "util/check.hpp"
 
-#ifndef WORMSIM_GIT_REVISION
-#define WORMSIM_GIT_REVISION "unknown"
-#endif
-
 namespace wormsim::telemetry {
-
-const char* git_revision() { return WORMSIM_GIT_REVISION; }
 
 JsonValue manifest_to_json(const RunManifest& manifest) {
   JsonValue json = JsonValue::object();

@@ -26,8 +26,9 @@ namespace wormsim::telemetry {
 /// implicitly assumed the single-flit wormhole buffers.
 inline constexpr int kResultSchemaVersion = 2;
 
-/// Git revision the binary was configured from (`git describe --always
-/// --dirty` at CMake configure time; "unknown" outside a git checkout).
+/// Git revision the binary was built from (`git describe --always
+/// --dirty --tags`, re-read at every build and compiled in from a
+/// generated source; "unknown" outside a git checkout).
 const char* git_revision();
 
 /// Provenance attached to every result document.

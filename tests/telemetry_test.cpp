@@ -528,7 +528,7 @@ TEST(ResultWriter, ManifestCarriesSchemaAndProvenance) {
   EXPECT_EQ(doc.at("seed").as_uint(), 42u);
   EXPECT_TRUE(doc.at("quick").as_bool());
   EXPECT_DOUBLE_EQ(doc.at("cycles_per_second").as_number(), 500'000.0);
-  // Baked in at configure time; never empty.
+  // Stamped at build time; never empty.
   EXPECT_FALSE(doc.at("git_revision").as_string().empty());
   EXPECT_STREQ(git_revision(), doc.at("git_revision").as_string().c_str());
   // No pool ran and no cache was attached: the optional objects are
