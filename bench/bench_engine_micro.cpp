@@ -659,7 +659,10 @@ void write_engine_baseline(const std::string& dir, std::uint64_t cycles,
           .count();
 
   telemetry::JsonValue trajectory_entry = telemetry::JsonValue::object();
-  trajectory_entry.set("label", "32-byte packet records, intrusive source queues");
+  trajectory_entry.set("label", "tail flag in the flit word");
+  // Per entry, so a trajectory merged from several runs keeps each one's
+  // provenance (stamped at build time, never stale).
+  trajectory_entry.set("git_revision", std::string(telemetry::git_revision()));
   trajectory_entry.set(
       "geomean_cycles_per_second_telemetry_off",
       geomean_count > 0 ? std::exp(geomean_log_sum / geomean_count) : 0.0);
