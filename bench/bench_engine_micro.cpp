@@ -208,10 +208,9 @@ void BM_EngineCyclesFaulted(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineCyclesFaulted)->DenseRange(0, 3)->ArgNames({"kind"});
 
-// Large-N configuration for the domain-partitioned advance: a 4096-node
-// TMIN (k=8, n=4, ~20k channels) is big enough that a single cycle's
-// route/advance work dwarfs the per-pass barrier cost, which is the
-// regime the engine_threads knob targets.  Small nets stay sequential.
+// Large-N configuration: a 4096-node TMIN (k=8, n=4, ~20k channels),
+// big enough that the per-cycle route/advance work, not per-cycle
+// bookkeeping, dominates.
 topology::NetworkConfig large_n_config() {
   topology::NetworkConfig config;
   config.kind = topology::NetworkKind::kTMIN;
@@ -229,12 +228,7 @@ void BM_EngineCyclesLargeN(benchmark::State& state) {
   traffic::WorkloadSpec workload;
   workload.offered = 0.5;
   traffic::StandardTraffic traffic(net, workload);
-  sim::SimConfig config = engine_config(false);
-  config.engine_threads = static_cast<std::uint32_t>(state.range(0));
-  // Exact width even on small hosts: the point of the 2/4/8 variants is
-  // the protocol's overhead curve, which oversubscription still shows.
-  config.engine_threads_exact = config.engine_threads > 1;
-  sim::Engine engine(net, *router, &traffic, config);
+  sim::Engine engine(net, *router, &traffic, engine_config(false));
   for (auto _ : state) {
     engine.step();
   }
@@ -242,13 +236,7 @@ void BM_EngineCyclesLargeN(benchmark::State& state) {
   state.counters["cycles/s"] = benchmark::Counter(
       static_cast<double>(state.iterations()), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_EngineCyclesLargeN)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->ArgNames({"engine_threads"})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EngineCyclesLargeN)->Unit(benchmark::kMillisecond);
 
 void BM_PathEnumerationBmin(benchmark::State& state) {
   topology::NetworkConfig config;
@@ -445,19 +433,14 @@ constexpr JsonConfig kJsonConfigs[] = {
     {topology::NetworkKind::kTMIN, 0.5, 2, false, 8, 2},
 };
 
-/// Best-of-3 cycles/sec on the 4096-node large-N config at one advance-
-/// team width (exact mode, so the curve is measurable on any host).
-double measure_large_n_width(std::uint32_t engine_threads,
-                             std::uint64_t cycles) {
+/// Best-of-3 cycles/sec on the 4096-node large-N config.
+double measure_large_n_cycles(std::uint64_t cycles) {
   const topology::Network net = topology::build_network(large_n_config());
   const auto router = routing::make_router(net);
   traffic::WorkloadSpec workload;
   workload.offered = 0.5;
   traffic::StandardTraffic traffic(net, workload);
-  sim::SimConfig config = engine_config(false);
-  config.engine_threads = engine_threads;
-  config.engine_threads_exact = engine_threads > 1;
-  sim::Engine engine(net, *router, &traffic, config);
+  sim::Engine engine(net, *router, &traffic, engine_config(false));
   for (std::uint64_t i = 0; i < cycles / 4; ++i) engine.step();
   double best = 0.0;
   for (int rep = 0; rep < 3; ++rep) {
@@ -466,12 +449,11 @@ double measure_large_n_width(std::uint32_t engine_threads,
   return best;
 }
 
-/// The large-N thread-scaling record attached to this run's trajectory
-/// entry.  Deliberately OUTSIDE the geomean: the base configs measure
-/// per-cycle bookkeeping on paper-sized nets, while this measures the
-/// domain-partitioned advance at the scale it exists for, and mixing the
-/// two would let a large-N win mask a small-net regression (or vice
-/// versa) in the one number CI compares.
+/// The large-N record attached to this run's trajectory entry.
+/// Deliberately OUTSIDE the geomean: the base configs measure per-cycle
+/// bookkeeping on paper-sized nets, while this measures the advance at
+/// scale, and mixing the two would let a large-N win mask a small-net
+/// regression (or vice versa) in the one number CI compares.
 telemetry::JsonValue measure_large_n(std::uint64_t cycles) {
   telemetry::JsonValue large_n = telemetry::JsonValue::object();
   large_n.set("kind", topology::to_string(topology::NetworkKind::kTMIN));
@@ -489,17 +471,17 @@ telemetry::JsonValue measure_large_n(std::uint64_t cycles) {
   // class of hardware as the committed entry; the SoA ratio in the PR's
   // acceptance criteria is thread_scaling[threads=1] over this.
   large_n.set("legacy_layout_cycles_per_sec", 923.0);
+  // One point, width 1: the engine is sequential.  The record keeps the
+  // shape older trajectory entries used (one point per width measured).
+  telemetry::JsonValue point = telemetry::JsonValue::object();
+  point.set("engine_threads", std::uint64_t{1});
+  point.set("cycles_per_second", measure_large_n_cycles(cycles));
   telemetry::JsonValue scaling = telemetry::JsonValue::array();
-  for (std::uint32_t threads : {1u, 2u, 4u, 8u}) {
-    telemetry::JsonValue point = telemetry::JsonValue::object();
-    point.set("engine_threads", static_cast<std::uint64_t>(threads));
-    point.set("cycles_per_second", measure_large_n_width(threads, cycles));
-    scaling.push_back(std::move(point));
-  }
+  scaling.push_back(std::move(point));
   large_n.set("thread_scaling", std::move(scaling));
   // Phase-profiler sanity on the same config: run a profiled simulation
-  // end to end and record how much of the engine's wall time the ten
-  // phase buckets account for.  The acceptance floor is 0.95.
+  // end to end and record how much of the engine's wall time the phase
+  // buckets account for.  The acceptance floor is 0.95.
   {
     const topology::Network net = topology::build_network(large_n_config());
     const auto router = routing::make_router(net);
@@ -659,7 +641,7 @@ void write_engine_baseline(const std::string& dir, std::uint64_t cycles,
           .count();
 
   telemetry::JsonValue trajectory_entry = telemetry::JsonValue::object();
-  trajectory_entry.set("label", "tail flag in the flit word");
+  trajectory_entry.set("label", "sequential advance (team removed)");
   // Per entry, so a trajectory merged from several runs keeps each one's
   // provenance (stamped at build time, never stale).
   trajectory_entry.set("git_revision", std::string(telemetry::git_revision()));

@@ -23,8 +23,7 @@
 //
 // Usage: large_n_smoke [--radix=8] [--stages=7] [--load=1.0]
 //                      [--length=32] [--warmup=400] [--measure=1200]
-//                      [--drain=200] [--engine-threads=1]
-//                      [--rss-budget-mb=6144]
+//                      [--drain=200] [--rss-budget-mb=6144]
 //                      [--min-accept-ratio=0.3] [--max-accept-ratio=1.1]
 
 #include <cstdint>
@@ -52,7 +51,6 @@ int main(int argc, char** argv) {
   std::int64_t warmup = 400;
   std::int64_t measure = 1'200;
   std::int64_t drain = 200;
-  std::int64_t engine_threads = 1;
   std::int64_t rss_budget_mb = 6'144;
   double min_accept_ratio = 0.3;
   double max_accept_ratio = 1.1;
@@ -66,8 +64,6 @@ int main(int argc, char** argv) {
   cli.add_flag("warmup", &warmup, "warmup cycles before the window");
   cli.add_flag("measure", &measure, "measurement window in cycles");
   cli.add_flag("drain", &drain, "drain cycles after the window");
-  cli.add_flag("engine-threads", &engine_threads,
-               "advance-team width (0 = one domain per hardware thread)");
   cli.add_flag("rss-budget-mb", &rss_budget_mb,
                "fail if peak RSS exceeds this many MiB");
   cli.add_flag("min-accept-ratio", &min_accept_ratio,
@@ -79,8 +75,7 @@ int main(int argc, char** argv) {
     case util::CliParser::Status::kError: return 1;
     case util::CliParser::Status::kOk: break;
   }
-  if (radix < 2 || stages < 1 || length < 1 || measure < 1 ||
-      engine_threads < 0) {
+  if (radix < 2 || stages < 1 || length < 1 || measure < 1) {
     std::fprintf(stderr, "bad arguments; see --help\n");
     return 1;
   }
@@ -120,7 +115,6 @@ int main(int argc, char** argv) {
   sim_config.warmup_cycles = static_cast<std::uint64_t>(warmup);
   sim_config.measure_cycles = static_cast<std::uint64_t>(measure);
   sim_config.drain_cycles = static_cast<std::uint64_t>(drain);
-  sim_config.engine_threads = static_cast<std::uint32_t>(engine_threads);
   sim_config.implicit_topology = true;
   // Saturation runs hold every source queue at its cap by design.
   sim_config.sustainable_queue_limit =

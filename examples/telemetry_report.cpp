@@ -315,7 +315,7 @@ int report_directory(const std::string& dir) {
   }
   util::Table table({"id", "schema", "seed", "git", "series", "points",
                      "peak_accepted%", "min_delivery%", "terminated",
-                     "cycles/s", "engine"});
+                     "cycles/s"});
   std::size_t summarized = 0;
   for (const std::filesystem::path& path : files) {
     std::ifstream in(path);
@@ -348,14 +348,6 @@ int report_directory(const std::string& dir) {
         }
       }
     }
-    // Advance-team width the run's points used; "-" for results written
-    // before the knob existed or runs that stayed sequential (the
-    // "engine" object is omitted in both cases).
-    const telemetry::JsonValue* engine = doc.find("engine");
-    const std::string engine_cell =
-        engine != nullptr
-            ? std::to_string(engine->at("threads").as_uint()) + "t"
-            : std::string("-");
     table.row()
         .cell(doc.at("id").as_string())
         .cell(doc.at("schema_version").as_uint())
@@ -369,8 +361,7 @@ int report_directory(const std::string& dir) {
     } else {
       table.cell(std::string("-")).cell(std::string("-"));
     }
-    table.cell(doc.at("cycles_per_second").as_number(), 0)
-        .cell(engine_cell);
+    table.cell(doc.at("cycles_per_second").as_number(), 0);
     ++summarized;
   }
   // Every file skipped is as useless to a caller (or a CI step) as an
@@ -634,7 +625,6 @@ int main(int argc, char** argv) {
   std::int64_t buffer_depth = 0;
   std::string flow_control;
   std::int64_t credit_delay = -1;
-  std::int64_t engine_threads = 0;
   bool implicit_topology = false;
   util::CliParser cli(
       "telemetry_report: channel heatmaps, trace export, results summary");
@@ -672,10 +662,6 @@ int main(int argc, char** argv) {
   cli.add_flag("credit-delay", &credit_delay,
                "credit/signal return delay in cycles (-1 = "
                "WORMSIM_CREDIT_DELAY env or 0)");
-  cli.add_flag("engine-threads", &engine_threads,
-               "advance-team width inside each simulated point (0 = "
-               "WORMSIM_ENGINE_THREADS env or sequential); bitwise "
-               "neutral");
   cli.add_flag("implicit-topology", &implicit_topology,
                "compute topology records on the fly instead of "
                "materializing the graph (bitwise neutral)");
@@ -712,9 +698,6 @@ int main(int argc, char** argv) {
   }
   if (credit_delay >= 0) {
     options.credit_delay = static_cast<std::uint32_t>(credit_delay);
-  }
-  if (engine_threads > 0) {
-    options.engine_threads = static_cast<std::uint32_t>(engine_threads);
   }
   options.implicit_topology = options.implicit_topology || implicit_topology;
   options.json_dir.clear();  // reporting only; never writes results

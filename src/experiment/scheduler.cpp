@@ -83,13 +83,11 @@ std::vector<Series> run_series_pool(const std::vector<SeriesSpec>& specs,
   std::atomic<std::uint64_t> computed{0};
   std::atomic<std::uint64_t> cache_hits{0};
   std::atomic<std::uint64_t> busy_ns{0};
-  // Advance-team telemetry summed across computed points (cache hits
+  // Engine phase profiles summed across computed points (cache hits
   // replay stored points without running an engine, so they contribute
   // nothing).  Low frequency — once per computed point — so a mutex is
   // fine.
   std::mutex engine_stats_mutex;
-  unsigned engine_threads_used = 1;
-  std::vector<double> engine_domain_busy;
   telemetry::PhaseProfile engine_profile;
 
   // Distribute series round-robin; each worker's deque holds its series'
@@ -158,19 +156,6 @@ std::vector<Series> run_series_pool(const std::vector<SeriesSpec>& specs,
                 .count(),
             std::memory_order_relaxed);
         computed.fetch_add(1, std::memory_order_relaxed);
-        if (full.engine_threads_used > 1) {
-          std::lock_guard<std::mutex> lock(engine_stats_mutex);
-          engine_threads_used =
-              std::max(engine_threads_used, full.engine_threads_used);
-          if (engine_domain_busy.size() <
-              full.engine_domain_busy_seconds.size()) {
-            engine_domain_busy.resize(full.engine_domain_busy_seconds.size());
-          }
-          for (std::size_t d = 0; d < full.engine_domain_busy_seconds.size();
-               ++d) {
-            engine_domain_busy[d] += full.engine_domain_busy_seconds[d];
-          }
-        }
         if (full.phase_profile.enabled) {
           std::lock_guard<std::mutex> lock(engine_stats_mutex);
           engine_profile.merge(full.phase_profile);
@@ -227,8 +212,6 @@ std::vector<Series> run_series_pool(const std::vector<SeriesSpec>& specs,
         static_cast<double>(busy_ns.load(std::memory_order_relaxed)) * 1e-9;
     stats->wall_seconds =
         std::chrono::duration<double>(pool_end - pool_start).count();
-    stats->engine_threads = engine_threads_used;
-    stats->engine_domain_busy_seconds = std::move(engine_domain_busy);
     stats->engine_profile = engine_profile;
   }
   return results;

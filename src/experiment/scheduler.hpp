@@ -57,15 +57,8 @@ struct PoolStats {
                ? busy_seconds / (wall_seconds * threads)
                : 0.0;
   }
-  /// Widest advance team any computed point actually ran with (1 when
-  /// every point was sequential — small nets clamp, BMIN falls back).
-  /// Orthogonal to `threads` above: the pool parallelizes ACROSS points,
-  /// the advance team WITHIN one.
+  /// Always 1; kept only for perfbench/, goes with the next benchmark change.
   unsigned engine_threads = 1;
-  /// Element-wise sum over computed points of each advance domain's busy
-  /// time in the parallel decide phase; empty when every point ran
-  /// sequentially.
-  std::vector<double> engine_domain_busy_seconds;
   /// Summed engine phase attribution over computed points
   /// (telemetry/profiler.hpp); enabled only when the sweep ran with
   /// SimConfig::telemetry.profile or WORMSIM_PROFILE=1.

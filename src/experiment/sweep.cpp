@@ -96,9 +96,6 @@ SweepPoint run_point(const SeriesSpec& spec, double load,
     sf_config.fault_seed = sim_config.fault_seed;
     sf_config.fault_at_cycle = sim_config.fault_at_cycle;
     sf_config.fault_repair_cycle = sim_config.fault_repair_cycle;
-    // Accepted-but-ignored (the reference engine is sequential); set for
-    // config symmetry so mixed wormhole/SF sweeps share one knob.
-    sf_config.engine_threads = sim_config.engine_threads;
     sim::StoreForwardEngine engine(network, *router, &traffic, sf_config);
     result = engine.run();
   } else {

@@ -51,16 +51,8 @@
 // round-robin picks, same RNG draw order), pinned bitwise by
 // tests/golden_test.cpp.
 //
-// With SimConfig::engine_threads > 1 the advance fixpoint instead runs
-// domain-partitioned: channels are split into stage-contiguous
-// id ranges, a persistent thread team computes every channel's transmit
-// decision against the immutable pre-pass snapshot (phase A), and the
-// recorded moves are applied sequentially in canonical ascending channel
-// order (phase B) — bitwise identical to the sequential engine at any
-// thread count (DESIGN.md §12 has the proof sketch; tests/golden_test.cpp
-// pins it for 1/2/4/8 threads).  Networks whose wiring is not
-// feed-forward in channel ids (BMIN turnaround) fall back to the
-// sequential path automatically.
+// One simulation runs on one thread; sweeps get their parallelism by
+// running load points concurrently (experiment/scheduler.hpp).
 #pragma once
 
 #include <cstdint>
@@ -69,7 +61,6 @@
 #include <vector>
 
 #include "routing/router.hpp"
-#include "sim/advance_team.hpp"
 #include "sim/arrival_calendar.hpp"
 #include "sim/config.hpp"
 #include "sim/fault_injection/state.hpp"
@@ -193,30 +184,14 @@ class Engine {
   /// credits, stop bits, and the in-flight backpressure calendar.
   const FlowControlState& flow_control() const { return fc_; }
 
-  /// Effective advance-team width after the hardware/topology clamps
-  /// (1 = sequential).  Deterministic promise: the simulation results are
-  /// bitwise identical for every value of this.
-  std::uint32_t engine_threads() const { return engine_threads_; }
-
-  /// Seconds each advance domain spent in its parallel decide phase
-  /// (empty when sequential); feeds the RunManifest "engine" object.
-  const std::vector<double>& domain_busy_seconds() const {
-    return domain_busy_seconds_;
-  }
+  /// Returns 1; kept only for perfbench/, goes with the next benchmark change.
+  std::uint32_t engine_threads() const { return 1; }
 
  private:
   /// Read-only invariant checker (src/sim/validate.hpp); fault-injection
   /// tests reach private state through EngineTestPeer.
   friend class EngineValidator;
   friend struct EngineTestPeer;
-
-  /// One granted transmit decision recorded by the parallel decide phase:
-  /// channel plus the round-robin lane pick, replayed in ascending
-  /// channel order by the sequential apply phase.
-  struct MoveRec {
-    topology::ChannelId channel;
-    std::uint8_t pick;
-  };
 
   /// Template tag for the move helpers: the reference fixpoint applies a
   /// pop's and a push's flow-control accounting as it goes; the
@@ -228,17 +203,16 @@ class Engine {
   void start_transmissions();
   void route_and_allocate();
   void advance_flits();
-  void advance_pass_sequential();
-  void advance_pass_parallel();
+  /// One ascending fixpoint pass over cur_pass_.
+  void advance_pass();
   /// Transmit decision for one channel against current state: gathers the
   /// ready lanes, advances the round-robin pointer, opens starvation
   /// intervals on gated lanes.  Returns the picked lane index or -1.
-  /// Reads only the channel's own state plus upstream lane state that is
-  /// stable for the whole pass (DESIGN.md §12), so it is safe to run
-  /// concurrently for channels of disjoint domains.
+  /// Mutates only the channel's round-robin pointer and its lanes'
+  /// starvation clocks; the move itself is apply_move's.
   int decide_channel(topology::ChannelId ch);
   /// Applies a granted decision: moves the flit, stamps the channel used,
-  /// fires the telemetry hooks.  Always runs sequentially.
+  /// fires the telemetry hooks.
   void apply_move(topology::ChannelId ch, unsigned pick);
   bool try_channel(topology::ChannelId ch) {
     const int pick = decide_channel(ch);
@@ -592,18 +566,6 @@ class Engine {
   // so the RNG draw sequence matches the original full scan.
   ArrivalCalendar arrival_calendar_;
   std::vector<topology::NodeId> due_nodes_;
-
-  // ---- Domain-partitioned parallel advance (DESIGN.md §12) -------------
-  // Effective team width after clamping to hardware concurrency and the
-  // feed-forward topology check; 1 means fully sequential.  Domains are
-  // stage-contiguous channel-id ranges [domain_begin_[d], domain_begin_[d+1])
-  // aligned to bitset words so each domain scans its own words only.
-  std::uint32_t engine_threads_ = 1;
-  bool feed_forward_ = false;
-  std::vector<std::uint32_t> domain_begin_;
-  std::vector<std::vector<MoveRec>> domain_moves_;
-  std::vector<double> domain_busy_seconds_;
-  std::unique_ptr<AdvanceTeam> team_;
 
   std::unique_ptr<EngineValidator> validator_;
 

@@ -69,14 +69,6 @@ struct SimResult {
   /// of the golden digests — tracing never perturbs the simulation.
   std::shared_ptr<telemetry::WormTracer> worm_trace;
 
-  /// Effective advance-team width (after the hardware / feed-forward
-  /// clamps) and wall seconds each domain spent in its parallel decide
-  /// phase (empty when sequential).  Diagnostics only — never part of the
-  /// golden digests; simulation results are bitwise identical at every
-  /// width.
-  std::uint32_t engine_threads_used = 1;
-  std::vector<double> engine_domain_busy_seconds;
-
   /// Onset detector verdicts from the heartbeat monitor (DESIGN.md §15):
   /// first heartbeat-window boundary where acceptance stopped tracking
   /// injection while source queues grew, and where fault terminations

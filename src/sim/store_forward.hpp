@@ -72,11 +72,6 @@ struct StoreForwardConfig {
   /// the phase profiler are wormhole-engine features (the event-driven
   /// reference has no per-cycle phase structure to attribute).
   telemetry::TelemetryConfig telemetry;
-  /// Accepted for experiment-config symmetry with SimConfig and ignored:
-  /// the event-driven reference engine is inherently sequential.  Sweeps
-  /// can therefore set one engine-thread knob for a mixed wormhole/SF
-  /// point list without special-casing.
-  std::uint32_t engine_threads = 1;
 };
 
 class StoreForwardEngine {

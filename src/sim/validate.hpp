@@ -99,12 +99,10 @@ class EngineValidator {
   ///     header sits starved with every legal candidate faulty for two
   ///     consecutive sweeps (fault-routability: serve() must terminate
   ///     such worms, not stall them);
-  ///   * domain partition (engine_threads > 1): the domain table tiles
-  ///     the channel ids in word-aligned slices, the topology is
-  ///     feed-forward (every switch's incoming channel ids strictly below
-  ///     its outgoing ones), and every held route crosses channel ids
-  ///     upward — the properties the two-phase parallel advance's
-  ///     determinism proof rests on;
+  ///   * feed-forward (consumer-first advance only): every held route
+  ///     crosses channel ids upward, as the topology check at
+  ///     construction requires of every switch — the property the
+  ///     descending single pass rests on;
   ///   * deadlock watchdog: halfway to the engine's watchdog, build the
   ///     wait-for graph and abort early on a true cycle.
   void check_cycle_end();
@@ -136,7 +134,10 @@ class EngineValidator {
   void check_routing_legality();
   void check_active_sets();
   void check_fault_state();
-  void check_domain_partition();
+  /// Once, at construction: every switch's incoming channel ids sit
+  /// strictly below its outgoing ones (`feed-forward`).
+  void check_feed_forward_topology() const;
+  void check_feed_forward();
   void maybe_probe_deadlock();
 
   const Engine& e_;

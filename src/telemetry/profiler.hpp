@@ -2,12 +2,8 @@
 //
 // Attributes a run's wall time to the step() phases: flow-control event
 // drain, fault transitions, arrival generation (calendar maintenance
-// included), transmission starts, routing/allocation, the flit advance
-// (split into the parallel decide phase A and the sequential
-// apply phase B when --engine-threads > 1), telemetry emission
-// (sampling + heartbeats), and validator sweeps.  Per-domain busy time
-// and imbalance for thread teams ride along from the engine's existing
-// domain_busy_seconds counters.
+// included), transmission starts, routing/allocation, the flit advance,
+// telemetry emission (sampling + heartbeats), and validator sweeps.
 //
 // Same contract as every other telemetry hook: null-gated (one
 // predictable branch per phase boundary when off) and zero-feedback —
@@ -33,14 +29,12 @@ enum class EnginePhase : std::uint8_t {
   kArrivals,         ///< arrival calendar drain + message creation
   kStartTx,          ///< source port transmission starts
   kRouting,          ///< header routing + lane allocation
-  kAdvance,          ///< flit advance: sequential pass(es) + scan
-  kAdvanceDecide,    ///< parallel phase A (per-domain transmit decisions)
-  kAdvanceApply,     ///< sequential phase B (canonical-order applies)
+  kAdvance,          ///< flit advance: consumer-first pass or fixpoint
   kTelemetry,        ///< interval sampling + heartbeat emission
   kValidate,         ///< invariant sweeps (WORMSIM_VALIDATE)
 };
 
-inline constexpr std::size_t kEnginePhaseCount = 10;
+inline constexpr std::size_t kEnginePhaseCount = 8;
 
 inline const char* engine_phase_name(EnginePhase phase) {
   switch (phase) {
@@ -50,8 +44,6 @@ inline const char* engine_phase_name(EnginePhase phase) {
     case EnginePhase::kStartTx: return "start_tx";
     case EnginePhase::kRouting: return "routing";
     case EnginePhase::kAdvance: return "advance";
-    case EnginePhase::kAdvanceDecide: return "advance_decide";
-    case EnginePhase::kAdvanceApply: return "advance_apply";
     case EnginePhase::kTelemetry: return "telemetry";
     case EnginePhase::kValidate: return "validate";
   }
@@ -100,12 +92,6 @@ class PhaseProfiler {
         std::chrono::duration<double>(now - last_).count();
     last_ = now;
   }
-  /// Adds externally measured time to a phase (phase-A team time is
-  /// already bracketed inside the advance fixpoint).
-  void add(EnginePhase phase, double seconds) {
-    profile_.seconds[static_cast<std::size_t>(phase)] += seconds;
-  }
-
   void set_total_seconds(double seconds) {
     profile_.total_seconds = seconds;
   }

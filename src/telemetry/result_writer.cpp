@@ -32,19 +32,6 @@ JsonValue manifest_to_json(const RunManifest& manifest) {
     pool.set("points_speculated", manifest.points_speculated);
     json.set("pool", std::move(pool));
   }
-  if (manifest.engine_threads > 1) {
-    JsonValue engine = JsonValue::object();
-    engine.set("threads", static_cast<std::uint64_t>(manifest.engine_threads));
-    double total_busy = 0.0;
-    JsonValue per_domain = JsonValue::array();
-    for (double busy : manifest.engine_domain_busy_seconds) {
-      total_busy += busy;
-      per_domain.push_back(busy);
-    }
-    engine.set("domain_busy_seconds", std::move(per_domain));
-    engine.set("busy_seconds", total_busy);
-    json.set("engine", std::move(engine));
-  }
   if (manifest.profile.enabled) {
     JsonValue profile = JsonValue::object();
     JsonValue phases = JsonValue::object();

@@ -16,10 +16,7 @@
 // is idempotent dedup, and `consume()` re-reads the current word after
 // every callback, so a bit set ahead of the cursor — in the same word or
 // a later one — is picked up in exactly the position the old sorted
-// insert would have given it.  The word array also doubles as the
-// domain-partition interface for the parallel engine: a contiguous
-// channel-id range is a contiguous word range, scanned without touching
-// any other domain's words.
+// insert would have given it.
 #pragma once
 
 #include <bit>
@@ -43,7 +40,6 @@ class DenseBitset {
   }
 
   std::size_t size() const { return bits_; }
-  std::size_t word_count() const { return words_.size(); }
 
   void set(std::size_t i) {
     WORMSIM_DCHECK(i < bits_);
@@ -116,9 +112,9 @@ class DenseBitset {
   }
 
   /// Visits every set bit in [first, last) in ascending order without
-  /// clearing.  Safe while other positions are concurrently read; the
-  /// caller must not mutate this range during the walk (each word is
-  /// snapshotted once).  This is the parallel engine's per-domain scan.
+  /// clearing.  The caller must not mutate this range during the walk
+  /// (each word is snapshotted once).  Routing walks the header set in
+  /// two such ranges from its rotated arbitration offset.
   template <typename Fn>
   void for_each_in(std::size_t first, std::size_t last, Fn&& fn) const {
     if (first >= last) return;

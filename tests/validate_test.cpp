@@ -42,9 +42,6 @@ struct EngineTestPeer {
     return e.channel_sources_;
   }
   static util::DenseBitset& seed_bits(Engine& e) { return e.seed_bits_; }
-  static std::vector<std::uint32_t>& domain_begin(Engine& e) {
-    return e.domain_begin_;
-  }
   static std::vector<PacketState>& packets(Engine& e) { return e.packets_; }
   static std::vector<std::uint16_t>& node_tx_len(Engine& e) {
     return e.node_tx_len_;
@@ -403,36 +400,6 @@ TEST_F(EngineCorruption, DroppedSeedBitCaught) {
         EngineTestPeer::validator(engine_).check_cycle_end();
       },
       "invariant 'event-frontier'.*not scheduled");
-}
-
-TEST(DomainCorruption, MisalignedDomainBoundaryCaught) {
-  // The engine under test owns a live worker team, so the default
-  // fork-style death test can deadlock if the fork lands while a worker
-  // holds a libc-internal lock; fork+exec re-runs the test fresh in the
-  // child instead.
-  testing::FLAGS_gtest_death_test_style = "threadsafe";
-  // A 64-node TMIN has 256 channels (4 bitset words), enough for two
-  // word-aligned advance domains; engine_threads_exact forces a real
-  // team regardless of the host's core count.
-  const Network net = topology::build_network(
-      net_config(NetworkKind::kTMIN, "cube", 4, 3));
-  const auto router = routing::make_router(net);
-  SimConfig config = validating_config();
-  config.engine_threads = 2;
-  config.engine_threads_exact = true;
-  Engine engine(net, *router, nullptr, config);
-  ASSERT_EQ(engine.engine_threads(), 2u);
-  engine.inject_message(0, 7, 8);
-  for (int i = 0; i < 4; ++i) engine.step();
-  EXPECT_DEATH(
-      {
-        // Shift the interior boundary off its word: two domains would
-        // scan overlapping words and the merge order would no longer be
-        // canonical.
-        ++EngineTestPeer::domain_begin(engine)[1];
-        EngineTestPeer::validator(engine).check_cycle_end();
-      },
-      "invariant 'domain-boundary'.*not word-aligned");
 }
 
 TEST(BminCorruption, SkippedTurnTripsRoutingLegality) {
