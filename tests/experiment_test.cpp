@@ -107,6 +107,26 @@ TEST(Figures, RunOptionsFromEnv) {
   EXPECT_FALSE(defaults.quick);
 }
 
+TEST(Figures, RunOptionsFromEnvReadsU32Knobs) {
+  setenv("WORMSIM_THREADS", "3", 1);
+  setenv("WORMSIM_BUFFER_DEPTH", "8", 1);
+  setenv("WORMSIM_CREDIT_DELAY", "2", 1);
+  const RunOptions options = RunOptions::from_env();
+  EXPECT_EQ(options.threads, 3u);
+  EXPECT_EQ(options.buffer_depth, 8u);
+  EXPECT_EQ(options.credit_delay, 2u);
+  // Zero threads or depth means "unset": the defaults stay.
+  setenv("WORMSIM_THREADS", "0", 1);
+  setenv("WORMSIM_BUFFER_DEPTH", "0", 1);
+  unsetenv("WORMSIM_CREDIT_DELAY");
+  const RunOptions zeros = RunOptions::from_env();
+  EXPECT_EQ(zeros.threads, RunOptions{}.threads);
+  EXPECT_EQ(zeros.buffer_depth, RunOptions{}.buffer_depth);
+  EXPECT_EQ(zeros.credit_delay, RunOptions{}.credit_delay);
+  unsetenv("WORMSIM_THREADS");
+  unsetenv("WORMSIM_BUFFER_DEPTH");
+}
+
 TEST(Figures, QuickFigureRunsAndPrints) {
   RunOptions options;
   options.quick = true;

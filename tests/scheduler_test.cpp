@@ -99,6 +99,22 @@ TEST(Scheduler, PoolMatchesSequentialBitwise) {
   }
 }
 
+// SimConfig::engine_threads and PoolStats::engine_threads survive only
+// for perfbench/: the engine reads neither, so a sweep that asks for a
+// wider engine reproduces the plain one and still reports width 1.
+TEST(Scheduler, EngineThreadsKnobIsInert) {
+  const auto specs = tiny_specs();
+  const auto options = tiny_options();
+  PoolOptions pool;
+  pool.threads = 2;
+  const auto base = run_series_pool(specs, options, pool);
+  SweepOptions wide = options;
+  wide.sim.engine_threads = 4;
+  PoolStats stats;
+  expect_series_eq(base, run_series_pool(specs, wide, pool, &stats));
+  EXPECT_EQ(stats.engine_threads, 1u);
+}
+
 TEST(Scheduler, MatchesRunSeriesPointForPoint) {
   const auto specs = tiny_specs();
   const auto options = tiny_options();
