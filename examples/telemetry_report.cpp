@@ -578,7 +578,7 @@ int export_chrome(const std::string& path, std::int64_t messages,
   config.drain_cycles = 0;
   sim::Engine engine(network, *router, nullptr, config);
   sim::RecordingTraceSink sink;
-  engine.set_trace_sink(&sink);
+  engine.set_observer(&sink);
   util::Rng rng(seed);
   for (std::int64_t i = 0; i < messages; ++i) {
     const auto src = static_cast<topology::NodeId>(

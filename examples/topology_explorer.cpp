@@ -99,11 +99,13 @@ int main(int argc, char** argv) {
   auto endpoint_name = [&](const topology::Endpoint& ep) {
     if (ep.is_node()) return "node " + addr.format(ep.id);
     const topology::Switch& sw = net.switch_ref(ep.id);
-    return "G" + std::to_string(sw.stage) + "." +
-           std::to_string(sw.index) + (ep.side == topology::Side::kLeft
-                                           ? ".l"
-                                           : ".r") +
-           std::to_string(ep.port);
+    std::string name = "G";
+    name += std::to_string(sw.stage);
+    name += '.';
+    name += std::to_string(sw.index);
+    name += ep.side == topology::Side::kLeft ? ".l" : ".r";
+    name += std::to_string(ep.port);
+    return name;
   };
   for (const topology::PhysChannel& ch : net.channels()) {
     table.row()

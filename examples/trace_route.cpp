@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
   sim_config.drain_cycles = 0;
   sim::Engine engine(net, *router, nullptr, sim_config);
   sim::RecordingTraceSink sink;
-  engine.set_trace_sink(&sink);
+  engine.set_observer(&sink);
 
   const sim::PacketId id = engine.inject_message(
       static_cast<topology::NodeId>(src),
@@ -92,7 +92,8 @@ int main(int argc, char** argv) {
     std::string out = analysis::role_name(ch.role);
     out += " ch" + std::to_string(ch.id);
     if (ch.num_lanes > 1) {
-      out += "." + std::to_string(net.lane(lane).lane_in_channel);
+      out += '.';
+      out += std::to_string(net.lane(lane).lane_in_channel);
     }
     if (ch.dst.is_node()) {
       out += " ->node " + addr.format(ch.dst.id);
@@ -107,25 +108,11 @@ int main(int argc, char** argv) {
   std::cout << config.describe() << ": worm " << addr.format(src) << " -> "
             << addr.format(dst) << ", " << flits << " flits\n\n";
   util::Table table({"cycle", "packet", "event", "flit", "lane"});
+  // The recording sink keeps the kinds kCreated..kTerminated, in order.
+  constexpr const char* kWhat[] = {"created", "routed", "flit", "delivered",
+                                   "terminated"};
   for (const sim::TraceEvent& event : sink.events()) {
-    const char* what = "?";
-    switch (event.kind) {
-      case sim::TraceEvent::Kind::kCreated:
-        what = "created";
-        break;
-      case sim::TraceEvent::Kind::kRouted:
-        what = "routed";
-        break;
-      case sim::TraceEvent::Kind::kFlitMoved:
-        what = "flit";
-        break;
-      case sim::TraceEvent::Kind::kDelivered:
-        what = "delivered";
-        break;
-      case sim::TraceEvent::Kind::kTerminated:
-        what = "terminated";
-        break;
-    }
+    const char* what = kWhat[static_cast<int>(event.kind)];
     table.row()
         .cell(event.cycle)
         .cell(static_cast<std::uint64_t>(event.packet))

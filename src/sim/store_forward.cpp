@@ -68,27 +68,12 @@ StoreForwardEngine::StoreForwardEngine(const topology::NetView& network,
       telemetry::worm_trace_enabled_from_env()) {
     worm_tracer_ = std::make_shared<telemetry::WormTracer>(
         network_.lane_count(), network_.channel_count());
-    wtrace_ = worm_tracer_.get();
     result_.worm_trace = worm_tracer_;
   }
-  const std::uint64_t heartbeat =
-      telemetry::heartbeat_cycles_from_env(config_.telemetry);
-  if (heartbeat > 0) {
-    telemetry::RunMonitor::RunInfo info;
-    info.dir = telemetry::heartbeat_dir_from_env(config_.telemetry);
-    info.tag = config_.telemetry.heartbeat_tag;
-    info.heartbeat_cycles = heartbeat;
-    info.warmup_cycles = config_.warmup_cycles;
-    info.measure_cycles = config_.measure_cycles;
-    info.drain_cycles = config_.drain_cycles;
-    info.node_count = network_.node_count();
-    info.engine = "store_forward";
-    run_monitor_ = std::make_unique<telemetry::RunMonitor>(std::move(info));
-    monitor_ = run_monitor_.get();
-    hb_interval_ = heartbeat;
-    hb_next_ = heartbeat;
-    hb_stage_intervals_ = telemetry::build_stage_lane_intervals(network_);
-  }
+  run_monitor_ = telemetry::make_run_monitor(
+      config_.telemetry, network_, config_.warmup_cycles,
+      config_.measure_cycles, config_.drain_cycles, "store_forward");
+  if (run_monitor_ != nullptr) hb_next_ = run_monitor_->interval();
 }
 
 StoreForwardEngine::~StoreForwardEngine() = default;
@@ -124,12 +109,16 @@ PacketId StoreForwardEngine::inject_message(NodeId src, std::uint64_t dst,
       routing::make_query(network_, src, dst).turn_stage);
   const auto id = static_cast<PacketId>(packets_.size());
   packets_.push_back(pkt);
-  if (wtrace_ != nullptr) {
-    wtrace_->on_created(id, when, src, dst, length, false);
+  if (worm_tracer_ != nullptr) {
+    worm_tracer_->on_event({.kind = telemetry::EngineEvent::Kind::kCreated,
+                            .cycle = when, .packet = id, .src = pkt.src,
+                            .dst = pkt.dst, .count = length});
   }
   if (when == now_) {
     packets_[id].set_measured(in_measure_window());
-    if (wtrace_ != nullptr) wtrace_->set_measured(id, packets_[id].measured());
+    if (worm_tracer_ != nullptr) {
+      worm_tracer_->set_measured(id, packets_[id].measured());
+    }
     nodes_[src].queue.push_back(packets_, id);
     ++queued_packets_;
     mark_node_pending(src);
@@ -160,8 +149,8 @@ bool StoreForwardEngine::start_transfer(PacketId pkt, LaneId from,
   if (ch.dst.is_switch()) {
     ++lanes_[to].incoming;
   }
-  if (wtrace_ != nullptr) {
-    wtrace_->on_sf_transfer_start(pkt, from, to, ch.id, now_);
+  if (worm_tracer_ != nullptr) {
+    worm_tracer_->on_sf_transfer_start(pkt, from, to, ch.id, now_);
   }
   const std::uint32_t length = packets_[pkt].length;
   channel_free_at_[ch.id] = now_ + length;
@@ -265,7 +254,7 @@ void StoreForwardEngine::pump() {
 void StoreForwardEngine::deliver(PacketId pkt_id) {
   PacketState& pkt = packets_[pkt_id];
   pkt.mark_delivered(now_);
-  if (wtrace_ != nullptr) wtrace_->on_sf_delivered(pkt_id, now_);
+  if (worm_tracer_ != nullptr) worm_tracer_->on_sf_delivered(pkt_id, now_);
   ++result_.delivered_messages_total;
   delivered_flits_total_ += pkt.length;
   if (in_measure_window()) {
@@ -326,8 +315,8 @@ void StoreForwardEngine::finish_transfer(const Transfer& transfer) {
     to.queue.push_back(transfer.packet);
     ++queued_packets_;
     mark_lane_pending(transfer.to);
-    if (wtrace_ != nullptr) {
-      wtrace_->on_sf_hop_arrival(transfer.packet, transfer.to, now_);
+    if (worm_tracer_ != nullptr) {
+      worm_tracer_->on_sf_hop_arrival(transfer.packet, transfer.to, now_);
     }
   }
 }
@@ -340,14 +329,19 @@ void StoreForwardEngine::terminate_packet(PacketId pkt_id) {
   pkt.mark_terminated(now_);
   ++result_.terminated_messages;
   result_.terminated_flits += pkt.length;
-  if (wtrace_ != nullptr) wtrace_->on_terminated(pkt_id, now_);
+  if (worm_tracer_ != nullptr) {
+    worm_tracer_->on_event({.kind = telemetry::EngineEvent::Kind::kTerminated,
+                            .cycle = now_, .packet = pkt_id});
+  }
 }
 
 void StoreForwardEngine::apply_fault_plan() {
   fault_state_.applied = true;
   fault_any_ = true;
-  if (monitor_ != nullptr) {
-    monitor_->on_fault(now_, "kill", fault_state_.plan.channels.size());
+  if (run_monitor_ != nullptr) {
+    run_monitor_->on_event({.kind = telemetry::EngineEvent::Kind::kFault,
+                            .cycle = now_,
+                            .count = fault_state_.plan.channels.size()});
   }
   for (const ChannelId ch_id : fault_state_.plan.channels) {
     channel_faulty_[ch_id] = 1;
@@ -373,8 +367,11 @@ void StoreForwardEngine::apply_fault_plan() {
 
 void StoreForwardEngine::repair_fault_plan() {
   fault_state_.repaired = true;
-  if (monitor_ != nullptr) {
-    monitor_->on_fault(now_, "repair", fault_state_.plan.channels.size());
+  if (run_monitor_ != nullptr) {
+    run_monitor_->on_event({.kind = telemetry::EngineEvent::Kind::kFault,
+                            .cycle = now_,
+                            .count = fault_state_.plan.channels.size(),
+                            .flag = true});
   }
   for (const ChannelId ch_id : fault_state_.plan.channels) {
     channel_faulty_[ch_id] = 0;
@@ -382,9 +379,8 @@ void StoreForwardEngine::repair_fault_plan() {
   }
 }
 
-telemetry::HeartbeatSnapshot StoreForwardEngine::heartbeat_snapshot(
-    std::uint64_t cycle) const {
-  telemetry::HeartbeatSnapshot snap;
+telemetry::Snapshot StoreForwardEngine::snapshot(std::uint64_t cycle) {
+  telemetry::Snapshot snap;
   snap.cycle = cycle;
   snap.messages_created = packets_.size();
   snap.messages_delivered = result_.delivered_messages_total;
@@ -397,19 +393,13 @@ telemetry::HeartbeatSnapshot StoreForwardEngine::heartbeat_snapshot(
   snap.worms_in_flight = in_flight_;
   snap.queued_messages = static_cast<std::uint64_t>(queued_packets_);
   snap.dropped_messages = result_.dropped_messages;
-  std::uint64_t faulty = 0;
-  for (const std::uint8_t dead : channel_faulty_) faulty += dead;
-  snap.faulty_channels = faulty;
-  snap.stage_occupancy.reserve(hb_stage_intervals_.size());
-  for (const auto& intervals : hb_stage_intervals_) {
-    std::uint64_t packets = 0;
-    for (const auto& [begin, end] : intervals) {
-      for (LaneId lane = begin; lane < end; ++lane) {
-        packets += lanes_[lane].queue.size();
-      }
-    }
-    snap.stage_occupancy.push_back(packets);
+  snap.faulty_channels =
+      fault_state_.active() ? fault_state_.plan.channels.size() : 0;
+  lane_packets_.resize(lanes_.size());
+  for (LaneId lane = 0; lane < lanes_.size(); ++lane) {
+    lane_packets_[lane] = static_cast<std::uint32_t>(lanes_[lane].queue.size());
   }
+  snap.lane_occupancy = lane_packets_.data();
   return snap;
 }
 
@@ -417,15 +407,16 @@ void StoreForwardEngine::maybe_heartbeat() {
   if (now_ < hb_next_) return;
   // Emit one line at the latest crossed boundary: the event-driven clock
   // jumps, so windows no event landed in are merged into it.
-  const std::uint64_t boundary = now_ - (now_ % hb_interval_);
-  monitor_->on_heartbeat(heartbeat_snapshot(boundary));
-  hb_next_ = boundary + hb_interval_;
+  const std::uint64_t interval = run_monitor_->interval();
+  const std::uint64_t boundary = now_ - (now_ % interval);
+  run_monitor_->on_snapshot(snapshot(boundary));
+  hb_next_ = boundary + interval;
 }
 
 void StoreForwardEngine::process(const Event& event) {
   WORMSIM_DCHECK(event.time >= now_);
   now_ = event.time;
-  if (monitor_ != nullptr) maybe_heartbeat();
+  if (run_monitor_ != nullptr) maybe_heartbeat();
   if (fault_state_.kill_due(now_)) apply_fault_plan();
   if (fault_state_.repair_due(now_)) repair_fault_plan();
   while (!free_calendar_.empty() && free_calendar_.top().first <= now_) {
@@ -460,9 +451,9 @@ void StoreForwardEngine::process(const Event& event) {
     case Event::Kind::kInject: {
       PacketState& pkt = packets_[event.payload];
       pkt.set_measured(in_measure_window());
-      if (wtrace_ != nullptr) {
-        wtrace_->set_measured(static_cast<PacketId>(event.payload),
-                              pkt.measured());
+      if (worm_tracer_ != nullptr) {
+        worm_tracer_->set_measured(static_cast<PacketId>(event.payload),
+                                   pkt.measured());
       }
       nodes_[pkt.src].queue.push_back(packets_,
                                       static_cast<PacketId>(event.payload));
@@ -525,12 +516,13 @@ SimResult StoreForwardEngine::run() {
       all_resolved
           ? (last_resolved > measure_end ? last_resolved - measure_end : 0)
           : config_.drain_cycles;
-  if (monitor_ != nullptr) {
-    monitor_->finalize(heartbeat_snapshot(total), result_.drained,
-                       static_cast<double>(result_.time_to_drain_cycles) /
-                           config_.flits_per_microsecond);
-    result_.saturation_onset_cycle = monitor_->saturation_onset_cycle();
-    result_.fault_onset_cycle = monitor_->fault_onset_cycle();
+  if (run_monitor_ != nullptr) {
+    run_monitor_->on_run_end(
+        snapshot(total), result_.drained,
+        static_cast<double>(result_.time_to_drain_cycles) /
+            config_.flits_per_microsecond);
+    result_.saturation_onset_cycle = run_monitor_->saturation_onset_cycle();
+    result_.fault_onset_cycle = run_monitor_->fault_onset_cycle();
   }
   if (validator_ != nullptr) validator_->check_final(result_);
   return result_;

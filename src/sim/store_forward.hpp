@@ -98,13 +98,9 @@ class StoreForwardEngine {
 
   /// Non-null when per-packet tracing is on (telemetry.worm_trace or
   /// WORMSIM_TRACE=1); also shared into SimResult::worm_trace.
-  const telemetry::WormTracer* worm_tracer() const { return wtrace_; }
-
-  /// Non-null when streaming heartbeats are on (telemetry.heartbeat_cycles
-  /// or WORMSIM_HEARTBEAT).  The event-driven engine emits at the latest
-  /// crossed cadence boundary before each event, merging windows no event
-  /// landed in.
-  const telemetry::RunMonitor* run_monitor() const { return monitor_; }
+  const telemetry::WormTracer* worm_tracer() const {
+    return worm_tracer_.get();
+  }
 
   /// Replaces the fault plan before any event has been processed
   /// (tests / callers that need an exact channel set rather than a
@@ -195,9 +191,9 @@ class StoreForwardEngine {
   void repair_fault_plan();
   bool lane_has_space(topology::LaneId lane) const;
   bool idle() const;
-  /// Deterministic heartbeat snapshot at cadence boundary `cycle`
-  /// (packet-granular counters; stage occupancy counts buffered packets).
-  telemetry::HeartbeatSnapshot heartbeat_snapshot(std::uint64_t cycle) const;
+  /// Observer snapshot at cadence boundary `cycle` (packet-granular
+  /// counters; the lane occupancy counts buffered packets).
+  telemetry::Snapshot snapshot(std::uint64_t cycle);
   /// Emits heartbeats for every cadence boundary now_ has crossed since
   /// the last emission (merged into one line at the latest boundary).
   void maybe_heartbeat();
@@ -248,21 +244,19 @@ class StoreForwardEngine {
 
   std::unique_ptr<StoreForwardValidator> validator_;
 
-  // Per-packet lifecycle tracer (telemetry/worm_trace.hpp), null-gated
-  // like the wormhole engine's hooks.
+  // Per-packet lifecycle tracer (telemetry/worm_trace.hpp), null-gated;
+  // its packet-granular on_sf_* hooks have no flit-level event, so it is
+  // called directly rather than through the observer stream.
   std::shared_ptr<telemetry::WormTracer> worm_tracer_;
-  telemetry::WormTracer* wtrace_ = nullptr;
 
   // Streaming heartbeat monitor (telemetry/run_monitor.hpp, DESIGN.md
-  // §15), null-gated.  hb_next_ is the next cadence boundary to emit at;
-  // the event-driven clock jumps, so one emission may cover several
-  // merged windows.
+  // §15), this engine's one observer.  hb_next_ is the next cadence
+  // boundary to emit at; the event-driven clock jumps, so one emission
+  // may cover several merged windows.  lane_packets_ is the snapshot's
+  // per-lane occupancy scratch.
   std::unique_ptr<telemetry::RunMonitor> run_monitor_;
-  telemetry::RunMonitor* monitor_ = nullptr;
-  std::uint64_t hb_interval_ = 0;
   std::uint64_t hb_next_ = 0;
-  std::vector<std::vector<std::pair<topology::LaneId, topology::LaneId>>>
-      hb_stage_intervals_;
+  std::vector<std::uint32_t> lane_packets_;
   std::uint64_t delivered_flits_total_ = 0;
 
   SimResult result_;

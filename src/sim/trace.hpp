@@ -1,49 +1,33 @@
-// Flit-level event tracing.
+// Flit-level event recording.
 //
-// An optional observer the engine reports to: message creation, header
-// routing decisions, per-channel flit transmissions, blocking retries,
-// and delivery.  Used by tests to validate micro-behavior (e.g. that a
-// worm's route is one of the enumerated static paths) and by the
-// trace_route example to print a packet's journey.
+// RecordingTraceSink is the engine observer (telemetry/observer.hpp) that
+// keeps a flat TraceEvent log: message creation, header routing grants,
+// per-channel flit transmissions, delivery, and fault terminations.  Used
+// by tests to validate micro-behavior (e.g. that a worm's route is one of
+// the enumerated static paths), by the trace_route example to print a
+// packet's journey, and by the lane-occupancy Chrome export.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "sim/packet.hpp"
+#include "telemetry/observer.hpp"
 #include "topology/network.hpp"
 
 namespace wormsim::sim {
 
-struct TraceEvent {
-  enum class Kind : std::uint8_t {
-    kCreated,     ///< entered the source queue
-    kRouted,      ///< header granted an output lane (lane = granted)
-    kFlitMoved,   ///< one flit crossed a channel (lane = traversed)
-    kDelivered,   ///< tail consumed at the destination
-    kTerminated,  ///< worm killed by fault injection (DESIGN.md §14)
-  };
-  Kind kind{};
-  std::uint64_t cycle = 0;
-  PacketId packet = kNoPacket;
-  std::uint32_t flit_seq = 0;
-  topology::LaneId lane = topology::kInvalidId;
-};
+/// The flit-level log entry: the engine event itself (kinds kCreated
+/// through kTerminated).
+using TraceEvent = telemetry::EngineEvent;
 
-/// Receives engine events.  Implementations must be cheap; the engine
-/// calls into the sink from its hot loop when tracing is enabled.
-class TraceSink {
+/// Stores the flit-level log; fine for tests and short runs.
+class RecordingTraceSink final : public telemetry::EngineObserver {
  public:
-  virtual ~TraceSink() = default;
-  virtual void on_event(const TraceEvent& event) = 0;
-};
-
-/// Stores everything; fine for tests and short runs.
-class RecordingTraceSink final : public TraceSink {
- public:
-  void on_event(const TraceEvent& event) override {
-    events_.push_back(event);
-  }
+  RecordingTraceSink()
+      : EngineObserver((TraceEvent::bit(TraceEvent::Kind::kTerminated) << 1) -
+                       1) {}
+  void on_event(const TraceEvent& event) override { events_.push_back(event); }
 
   const std::vector<TraceEvent>& events() const { return events_; }
 

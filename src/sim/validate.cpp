@@ -772,7 +772,7 @@ void EngineValidator::check_feed_forward() {
 }
 
 void EngineValidator::check_fault_state() {
-  if (!e_.fault_any_) {
+  if (!e_.fault_state_.applied) {
     return;  // no channel has ever faulted; nothing to sweep
   }
   const std::uint64_t cycle = e_.cycle_;
@@ -1006,7 +1006,7 @@ void EngineValidator::maybe_probe_deadlock() {
                  static_cast<long long>(e_.occupied_));
     return;
   }
-  if (e_.fault_any_) {
+  if (e_.fault_state_.applied) {
     // Never report a deadlock that is really a fault-handling bug: an
     // acyclic permanent blockage means a fault-starved worm survived
     // serve(), and a wait-for cycle through a dead lane means the kill

@@ -1,15 +1,17 @@
-// Low-overhead event counters accumulated by the simulation engine.
+// Low-overhead event counters accumulated from the engine's event stream.
 //
-// Plain uint64 arrays indexed by lane id / switch id: the engine's hot
-// loop does nothing but `++counters.lane_flits[lane]`, and all aggregation
-// (per-channel sums, per-stage heatmaps) happens post-run.  All counts
-// cover the measurement window only, matching SimResult's window metrics
-// so totals reconcile exactly.
+// Plain uint64 arrays indexed by lane id / switch id: CounterSink turns
+// each engine event into one increment, and all aggregation (per-channel
+// sums, per-stage heatmaps) happens post-run.  All counts cover the
+// measurement window only, matching SimResult's window metrics so totals
+// reconcile exactly.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "telemetry/observer.hpp"
+#include "topology/net_view.hpp"
 #include "topology/network.hpp"
 
 namespace wormsim::telemetry {
@@ -36,6 +38,7 @@ struct Counters {
   std::vector<std::uint64_t> lane_fault_terminated;
 
   bool enabled() const { return !lane_flits.empty(); }
+  bool operator==(const Counters&) const = default;
 
   void resize_for(std::size_t lane_count, std::size_t switch_count) {
     lane_flits.assign(lane_count, 0);
@@ -56,6 +59,23 @@ struct Counters {
   /// Flit crossings of one physical channel (sum over its lanes).
   std::uint64_t channel_flits(const topology::Network& network,
                               topology::ChannelId channel) const;
+};
+
+/// Fills a Counters from the event stream, counting only events of the
+/// measurement window [window_begin, window_begin + window_cycles).
+class CounterSink final : public EngineObserver {
+ public:
+  /// Sizes `out` for `network`; `out` must outlive the sink.
+  CounterSink(Counters& out, const topology::NetView& network,
+              std::uint64_t window_begin, std::uint64_t window_cycles);
+
+  void on_event(const EngineEvent& event) override;
+
+ private:
+  Counters& out_;
+  std::uint64_t window_begin_;
+  std::uint64_t window_cycles_;
+  std::vector<std::uint32_t> lane_switch_;  // lane -> switch it feeds
 };
 
 }  // namespace wormsim::telemetry

@@ -43,15 +43,33 @@ void write_json_atomic(const std::string& path, const JsonValue& doc) {
   std::filesystem::rename(tmp, path);
 }
 
-std::vector<std::vector<std::pair<topology::LaneId, topology::LaneId>>>
-build_stage_lane_intervals(const topology::NetView& network) {
-  const std::size_t stages = network.stages();
-  std::vector<std::vector<std::pair<topology::LaneId, topology::LaneId>>>
-      intervals(stages + 1);
+std::unique_ptr<RunMonitor> make_run_monitor(
+    const TelemetryConfig& config, const topology::NetView& network,
+    std::uint64_t warmup_cycles, std::uint64_t measure_cycles,
+    std::uint64_t drain_cycles, const char* engine) {
+  const std::uint64_t heartbeat = heartbeat_cycles_from_env(config);
+  if (heartbeat == 0) return nullptr;
+  RunMonitor::RunInfo info;
+  info.dir = heartbeat_dir_from_env(config);
+  info.tag = config.heartbeat_tag;
+  info.heartbeat_cycles = heartbeat;
+  info.warmup_cycles = warmup_cycles;
+  info.measure_cycles = measure_cycles;
+  info.drain_cycles = drain_cycles;
+  info.node_count = network.node_count();
+  info.engine = engine;
+  return std::make_unique<RunMonitor>(std::move(info), network);
+}
+
+RunMonitor::RunMonitor(RunInfo info, const topology::NetView& network)
+    : EngineObserver(EngineEvent::bit(EngineEvent::Kind::kFault)),
+      info_(std::move(info)),
+      start_(std::chrono::steady_clock::now()),
+      stage_lanes_(network.stages() + 1) {
   network.for_each_channel([&](const topology::PhysChannel& ch) {
-    const std::size_t slot =
-        ch.dst.is_switch() ? network.switch_stage(ch.dst.id) : stages;
-    auto& list = intervals[slot];
+    auto& list = stage_lanes_[ch.dst.is_switch()
+                                  ? network.switch_stage(ch.dst.id)
+                                  : network.stages()];
     const topology::LaneId begin = ch.first_lane;
     const topology::LaneId end = ch.first_lane + ch.num_lanes;
     if (!list.empty() && list.back().second == begin) {
@@ -60,11 +78,6 @@ build_stage_lane_intervals(const topology::NetView& network) {
       list.emplace_back(begin, end);
     }
   });
-  return intervals;
-}
-
-RunMonitor::RunMonitor(RunInfo info)
-    : info_(std::move(info)), start_(std::chrono::steady_clock::now()) {
   WORMSIM_CHECK(info_.heartbeat_cycles > 0);
   if (info_.tag.empty()) info_.tag = "run";
   std::filesystem::create_directories(info_.dir.empty() ? "." : info_.dir);
@@ -101,7 +114,7 @@ double RunMonitor::wall_seconds() const {
       .count();
 }
 
-void RunMonitor::update_onsets(const HeartbeatSnapshot& snap) {
+void RunMonitor::update_onsets(const Snapshot& snap) {
   // Only pre-drain windows count: once sources are past the measurement
   // window the delivered/created balance shifts by construction.
   const bool pre_drain =
@@ -135,7 +148,7 @@ void RunMonitor::update_onsets(const HeartbeatSnapshot& snap) {
   }
 }
 
-JsonValue RunMonitor::heartbeat_json(const HeartbeatSnapshot& snap) {
+JsonValue RunMonitor::heartbeat_json(const Snapshot& snap) {
   JsonValue line = JsonValue::object();
   line.set("type", "heartbeat");
   line.set("cycle", snap.cycle);
@@ -157,7 +170,15 @@ JsonValue RunMonitor::heartbeat_json(const HeartbeatSnapshot& snap) {
   line.set("window_flits_delivered",
            snap.flits_delivered - last_.flits_delivered);
   JsonValue occupancy = JsonValue::array();
-  for (std::uint64_t flits : snap.stage_occupancy) occupancy.push_back(flits);
+  for (const auto& intervals : stage_lanes_) {
+    std::uint64_t held = 0;
+    for (const auto& [begin, end] : intervals) {
+      for (topology::LaneId lane = begin; lane < end; ++lane) {
+        held += snap.lane_occupancy[lane];
+      }
+    }
+    occupancy.push_back(held);
+  }
   line.set("stage_occupancy", std::move(occupancy));
   // Wall-clock fields last: everything above is deterministic, these
   // three are the only keys tests/readers must strip when comparing
@@ -179,7 +200,7 @@ void RunMonitor::append_line(const JsonValue& line) {
   stream_ << "\n";
 }
 
-void RunMonitor::write_status(const HeartbeatSnapshot& snap, bool finished) {
+void RunMonitor::write_status(const Snapshot& snap, bool finished) {
   const std::uint64_t total =
       info_.warmup_cycles + info_.measure_cycles + info_.drain_cycles;
   JsonValue doc = JsonValue::object();
@@ -216,11 +237,17 @@ void RunMonitor::write_status(const HeartbeatSnapshot& snap, bool finished) {
   write_json_atomic(status_path_, doc);
 }
 
-void RunMonitor::on_heartbeat(const HeartbeatSnapshot& snap) {
+void RunMonitor::on_snapshot(const Snapshot& snap) {
+  if (snap.cycle % info_.heartbeat_cycles == 0) {
+    heartbeat(snap, /*throttled_sync=*/true);
+  }
+}
+
+void RunMonitor::heartbeat(const Snapshot& snap, bool throttled_sync) {
   update_onsets(snap);
   append_line(heartbeat_json(snap));
   const double wall = wall_seconds();
-  if (wall - last_sync_wall_ >= kSyncIntervalSeconds) {
+  if (throttled_sync && wall - last_sync_wall_ >= kSyncIntervalSeconds) {
     stream_.flush();
     write_status(snap, /*finished=*/false);
     last_sync_wall_ = wall;
@@ -229,13 +256,12 @@ void RunMonitor::on_heartbeat(const HeartbeatSnapshot& snap) {
   last_ = snap;
 }
 
-void RunMonitor::on_fault(std::uint64_t cycle, const char* transition,
-                          std::uint64_t channels) {
+void RunMonitor::on_event(const EngineEvent& event) {
   JsonValue line = JsonValue::object();
   line.set("type", "fault");
-  line.set("cycle", cycle);
-  line.set("transition", transition);
-  line.set("channels", channels);
+  line.set("cycle", event.cycle);
+  line.set("transition", event.flag ? "repair" : "kill");
+  line.set("channels", event.count);
   line.set("wall_seconds", wall_seconds());
   append_line(line);
   // Fault transitions are rare and load-bearing for whoever is tailing
@@ -243,18 +269,13 @@ void RunMonitor::on_fault(std::uint64_t cycle, const char* transition,
   stream_.flush();
 }
 
-void RunMonitor::finalize(const HeartbeatSnapshot& snap, bool drained,
-                          double time_to_drain_us) {
+void RunMonitor::on_run_end(const Snapshot& snap, bool drained,
+                            double time_to_drain_us) {
   if (finalized_) return;
   finalized_ = true;
-  if (snap.cycle > last_.cycle) {
-    // The run length was not a multiple of the cadence: emit the final
-    // partial window so the stream covers every simulated cycle.
-    update_onsets(snap);
-    append_line(heartbeat_json(snap));
-    last_wall_ = wall_seconds();
-    last_ = snap;
-  }
+  // A run length that is not a multiple of the cadence leaves a final
+  // partial window; emit it so the stream covers every simulated cycle.
+  if (snap.cycle > last_.cycle) heartbeat(snap, /*throttled_sync=*/false);
   JsonValue line = JsonValue::object();
   line.set("type", "final");
   line.set("cycle", snap.cycle);

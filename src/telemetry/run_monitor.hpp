@@ -26,21 +26,24 @@
 // appear (fault onset), recorded in the final line, status.json, and —
 // via SimResult — the sweep results JSON.
 //
-// Zero-feedback like the worm tracer: the engines read their own
-// counters to fill a snapshot, never the other way around, so golden
-// digests are bitwise unchanged with heartbeats on; heartbeats-off is
-// the exact fast path (one null-pointer test per cycle).
+// The monitor is one sink of the engines' observer stream
+// (telemetry/observer.hpp): it turns every snapshot on its cadence into
+// a heartbeat line, summing the snapshot's per-lane occupancy into
+// per-stage totals itself.  Zero-feedback like every observer, so golden
+// digests are bitwise unchanged with heartbeats on.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "telemetry/config.hpp"
 #include "telemetry/json.hpp"
+#include "telemetry/observer.hpp"
 #include "topology/net_view.hpp"
 
 namespace wormsim::telemetry {
@@ -56,26 +59,7 @@ inline constexpr std::uint64_t kNoOnset = ~std::uint64_t{0};
 std::uint64_t heartbeat_cycles_from_env(const TelemetryConfig& config);
 std::string heartbeat_dir_from_env(const TelemetryConfig& config);
 
-/// One engine-built snapshot.  Every field is deterministic; the
-/// monitor adds the wall-clock-derived fields at emission time.
-struct HeartbeatSnapshot {
-  std::uint64_t cycle = 0;
-  std::uint64_t messages_created = 0;
-  std::uint64_t messages_delivered = 0;
-  std::uint64_t messages_terminated = 0;
-  std::uint64_t flits_delivered = 0;
-  std::uint64_t flits_terminated = 0;
-  std::int64_t flits_in_flight = 0;
-  std::int64_t worms_in_flight = 0;
-  std::uint64_t queued_messages = 0;
-  std::uint64_t dropped_messages = 0;
-  std::uint64_t faulty_channels = 0;
-  /// Flits (wormhole) or packets (store-and-forward) buffered per switch
-  /// stage, ejection buffers in the last slot.
-  std::vector<std::uint64_t> stage_occupancy;
-};
-
-class RunMonitor {
+class RunMonitor final : public EngineObserver {
  public:
   struct RunInfo {
     std::string dir;
@@ -90,34 +74,34 @@ class RunMonitor {
   };
 
   /// Creates `info.dir` if needed, truncates the stream file, and writes
-  /// the "start" line plus the initial status.json.
-  explicit RunMonitor(RunInfo info);
+  /// the "start" line plus the initial status.json.  `network` fixes the
+  /// per-stage lane ranges the occupancy summary sums.
+  RunMonitor(RunInfo info, const topology::NetView& network);
 
   std::uint64_t interval() const { return info_.heartbeat_cycles; }
 
-  /// Appends one heartbeat line and updates the onset detector.  The
-  /// expensive parts — the stream flush (a write syscall) and the
-  /// status.json rewrite (open + dump + rename) — are throttled to at
-  /// most one per kSyncIntervalSeconds of wall time: the stream still
-  /// records every window (buffered), watchers poll at ~1 Hz anyway,
-  /// and the throttle is what keeps chatty cadences inside the 1.05x
-  /// overhead budget (heartbeat_on_slowdown_x in
-  /// results/BENCH_engine.json).  A crashed run can lose at most the
-  /// last interval's buffered lines; fault lines and finalize() always
-  /// sync.
-  void on_heartbeat(const HeartbeatSnapshot& snap);
+  /// A snapshot on the cadence (cycle % interval == 0) appends one
+  /// heartbeat line and updates the onset detector.  The expensive parts
+  /// — the stream flush (a write syscall) and the status.json rewrite
+  /// (open + dump + rename) — are throttled to at most one per
+  /// kSyncIntervalSeconds of wall time: the stream still records every
+  /// window (buffered), watchers poll at ~1 Hz anyway, and the throttle
+  /// is what keeps chatty cadences inside the 1.05x overhead budget
+  /// (heartbeat_on_slowdown_x in results/BENCH_engine.json).  A crashed
+  /// run can lose at most the last interval's buffered lines; fault
+  /// lines and the final line always sync.
+  void on_snapshot(const Snapshot& snap) override;
 
   static constexpr double kSyncIntervalSeconds = 0.25;
 
-  /// Appends a fault transition line ("kill" or "repair").
-  void on_fault(std::uint64_t cycle, const char* transition,
-                std::uint64_t channels);
+  /// Consumes kFault only: appends a "fault" line ("kill" or "repair").
+  void on_event(const EngineEvent& event) override;
 
   /// Emits the final partial window (when the run length is not a
   /// multiple of the cadence), then the "final" line and the terminal
   /// status.json rewrite.
-  void finalize(const HeartbeatSnapshot& snap, bool drained,
-                double time_to_drain_us);
+  void on_run_end(const Snapshot& snap, bool drained,
+                  double time_to_drain_us) override;
 
   /// kNoOnset when never detected.
   std::uint64_t saturation_onset_cycle() const { return saturation_onset_; }
@@ -129,10 +113,13 @@ class RunMonitor {
  private:
   const char* phase_of(std::uint64_t cycle) const;
   double wall_seconds() const;
-  void update_onsets(const HeartbeatSnapshot& snap);
-  JsonValue heartbeat_json(const HeartbeatSnapshot& snap);
+  /// Appends one heartbeat line and advances the onset detector and the
+  /// window baseline; `throttled_sync` allows the throttled flush.
+  void heartbeat(const Snapshot& snap, bool throttled_sync);
+  void update_onsets(const Snapshot& snap);
+  JsonValue heartbeat_json(const Snapshot& snap);
   void append_line(const JsonValue& line);
-  void write_status(const HeartbeatSnapshot& snap, bool finished);
+  void write_status(const Snapshot& snap, bool finished);
 
   RunInfo info_;
   std::string stream_path_;
@@ -141,7 +128,12 @@ class RunMonitor {
   std::chrono::steady_clock::time_point start_;
   double last_wall_ = 0.0;
   double last_sync_wall_ = 0.0;
-  HeartbeatSnapshot last_{};
+  // Per-stage [lane_begin, lane_end) ranges: slot s < stages holds the
+  // lanes buffering into stage-s switches, the last slot the ejection
+  // lanes; stage-major allocation makes each ~one interval.
+  std::vector<std::vector<std::pair<topology::LaneId, topology::LaneId>>>
+      stage_lanes_;
+  Snapshot last_{};
   std::uint64_t saturation_onset_ = kNoOnset;
   std::uint64_t fault_onset_ = kNoOnset;
   bool finalized_ = false;
@@ -153,13 +145,11 @@ class RunMonitor {
 /// polling contract.
 void write_json_atomic(const std::string& path, const JsonValue& doc);
 
-/// Per-stage [lane_begin, lane_end) interval lists for the heartbeat
-/// occupancy summary, built once when a monitor attaches: slot s < stages
-/// holds the lanes buffering into stage-s switches, the last slot holds
-/// the ejection lanes.  Stage-major channel allocation collapses each
-/// list to ~one interval, so the per-heartbeat sum is a few contiguous
-/// scans of the engine's lane-occupancy array.
-std::vector<std::vector<std::pair<topology::LaneId, topology::LaneId>>>
-build_stage_lane_intervals(const topology::NetView& network);
+/// The monitor `config` (WORMSIM_HEARTBEAT / WORMSIM_HEARTBEAT_DIR
+/// applied) asks for: null when heartbeats are off.
+std::unique_ptr<RunMonitor> make_run_monitor(
+    const TelemetryConfig& config, const topology::NetView& network,
+    std::uint64_t warmup_cycles, std::uint64_t measure_cycles,
+    std::uint64_t drain_cycles, const char* engine);
 
 }  // namespace wormsim::telemetry

@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "telemetry/observer.hpp"
+
 namespace wormsim::telemetry {
 
 struct Sample {
@@ -23,11 +25,34 @@ struct Sample {
   std::int64_t worms_in_flight = 0;
   /// Mean source-queue length over all nodes.
   double mean_queue_depth = 0.0;
+
+  bool operator==(const Sample&) const = default;
 };
 
-class IntervalSampler {
+/// Samples the engine's snapshot stream: the snapshot taken after step c,
+/// for every c with c % interval == 0 (c = 0 included), is recorded as
+/// cycle c.
+class SampleSink final : public EngineObserver {
  public:
-  explicit IntervalSampler(std::size_t capacity = 0) : capacity_(capacity) {}
+  explicit SampleSink(std::size_t capacity = 0, std::uint64_t interval = 1,
+                      std::uint64_t node_count = 1)
+      : EngineObserver(0),  // snapshots only
+        capacity_(capacity),
+        interval_(interval),
+        node_count_(node_count) {}
+
+  void on_snapshot(const Snapshot& snap) override {
+    const std::uint64_t step = snap.cycle - 1;
+    if (step % interval_ != 0) return;
+    Sample sample;
+    sample.cycle = step;
+    sample.delivered_flits = snap.flits_delivered;
+    sample.flits_in_flight = snap.flits_in_flight;
+    sample.worms_in_flight = snap.worms_in_flight;
+    sample.mean_queue_depth = static_cast<double>(snap.queued_messages) /
+                              static_cast<double>(node_count_);
+    record(sample);
+  }
 
   void record(const Sample& sample) {
     if (capacity_ == 0) return;
@@ -60,6 +85,8 @@ class IntervalSampler {
 
  private:
   std::size_t capacity_;
+  std::uint64_t interval_;
+  std::uint64_t node_count_;
   std::size_t next_ = 0;
   std::uint64_t recorded_ = 0;
   std::uint64_t dropped_ = 0;

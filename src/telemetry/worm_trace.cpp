@@ -6,6 +6,7 @@
 #include <ostream>
 #include <string>
 
+#include "telemetry/chrome_trace.hpp"
 #include "util/check.hpp"
 
 namespace wormsim::telemetry {
@@ -20,35 +21,70 @@ bool worm_trace_enabled_from_env() {
          !(value[0] == '0' && value[1] == '\0');
 }
 
-WormTracer::WormTracer(std::size_t lane_count, std::size_t channel_count) {
+WormTracer::WormTracer(std::size_t lane_count, std::size_t channel_count)
+    : EngineObserver(~(EngineEvent::bit(EngineEvent::Kind::kFlitMoved) |
+                       EngineEvent::bit(EngineEvent::Kind::kDiscarded) |
+                       EngineEvent::bit(EngineEvent::Kind::kFault))) {
   lane_holder_.assign(lane_count, kNoWorm);
   channel_last_user_.assign(channel_count, kNoWorm);
   lane_starved_.assign(lane_count, 0);
 }
 
-void WormTracer::on_created(WormId id, std::uint64_t cycle,
-                            std::uint64_t src, std::uint64_t dst,
-                            std::uint32_t length, bool measured) {
-  if (records_.size() <= id) records_.resize(id + 1);
-  WormRecord& r = records_[id];
-  r.id = id;
-  r.src = src;
-  r.dst = dst;
-  r.length = length;
-  r.measured = measured;
-  r.create_cycle = cycle;
-}
-
-void WormTracer::on_injected(WormId id, std::uint64_t cycle) {
-  rec(id).inject_cycle = cycle;
-}
-
-void WormTracer::on_header_arrival(WormId id, LaneId in_lane,
-                                   std::uint64_t cycle) {
-  StageSpan stage;
-  stage.in_lane = in_lane;
-  stage.arrive_cycle = cycle;
-  rec(id).stages.push_back(stage);
+void WormTracer::on_event(const EngineEvent& e) {
+  using Kind = EngineEvent::Kind;
+  switch (e.kind) {
+    case Kind::kCreated: {
+      if (records_.size() <= e.packet) records_.resize(e.packet + 1);
+      WormRecord& r = records_[e.packet];
+      r.id = e.packet;
+      r.src = e.src;
+      r.dst = e.dst;
+      r.length = static_cast<std::uint32_t>(e.count);
+      r.measured = e.flag;
+      r.create_cycle = e.cycle;
+      break;
+    }
+    case Kind::kInjected:
+      rec(e.packet).inject_cycle = e.cycle;
+      break;
+    case Kind::kHeaderArrival: {  // a new stage begins
+      StageSpan stage;
+      stage.in_lane = e.lane;
+      stage.arrive_cycle = e.cycle;
+      rec(e.packet).stages.push_back(stage);
+      break;
+    }
+    case Kind::kBlocked:
+      on_blocked(e);
+      break;
+    case Kind::kRouted: {
+      WormRecord& r = rec(e.packet);
+      WORMSIM_DCHECK(!r.stages.empty() && r.stages.back().in_lane == e.from);
+      r.stages.back().out_lane = e.lane;
+      r.stages.back().grant_cycle = e.cycle;
+      r.blocked_open = false;
+      lane_holder_[e.lane] = e.packet;
+      break;
+    }
+    case Kind::kLaneReleased:
+      lane_holder_[e.lane] = kNoWorm;
+      break;
+    case Kind::kCreditStarved:
+      lane_starved_[e.lane] += e.count;
+      if (e.packet != kNoWorm) rec(e.packet).starved_cycles += e.count;
+      break;
+    case Kind::kDelivered:
+      on_delivered(rec(e.packet), e.cycle);
+      break;
+    case Kind::kTerminated:
+      rec(e.packet).terminate_cycle = e.cycle;
+      rec(e.packet).blocked_open = false;
+      break;
+    case Kind::kFlitMoved:
+    case Kind::kDiscarded:
+    case Kind::kFault:
+      break;
+  }
 }
 
 std::uint32_t WormTracer::open_chain_depth(WormId culprit) const {
@@ -66,11 +102,11 @@ std::uint32_t WormTracer::open_chain_depth(WormId culprit) const {
   return depth;
 }
 
-void WormTracer::on_blocked(WormId id, LaneId in_lane, LaneId culprit_lane,
-                            std::uint64_t cycle, bool credit_starved) {
-  WormRecord& r = rec(id);
+void WormTracer::on_blocked(const EngineEvent& e) {
+  WormRecord& r = rec(e.packet);
   WORMSIM_DCHECK(!r.stages.empty());
   ++r.stages.back().blocked_cycles;
+  const LaneId culprit_lane = e.lane;
   const WormId holder = culprit_lane != kInvalidId &&
                                 culprit_lane < lane_holder_.size()
                             ? lane_holder_[culprit_lane]
@@ -78,49 +114,24 @@ void WormTracer::on_blocked(WormId id, LaneId in_lane, LaneId culprit_lane,
   if (r.blocked_open) {
     BlockedInterval& open = r.blocked.back();
     if (open.culprit_lane == culprit_lane && open.culprit_worm == holder &&
-        open.credit_starved == credit_starved &&
-        open.last_cycle + 1 == cycle) {
-      open.last_cycle = cycle;
+        open.credit_starved == e.flag && open.last_cycle + 1 == e.cycle) {
+      open.last_cycle = e.cycle;
       return;
     }
   }
   BlockedInterval interval;
-  interval.first_cycle = cycle;
-  interval.last_cycle = cycle;
-  interval.waiting_lane = in_lane;
+  interval.first_cycle = e.cycle;
+  interval.last_cycle = e.cycle;
+  interval.waiting_lane = e.from;
   interval.culprit_lane = culprit_lane;
   interval.culprit_worm = holder;
   interval.chain_depth = open_chain_depth(holder);
-  interval.credit_starved = credit_starved;
+  interval.credit_starved = e.flag;
   r.blocked.push_back(interval);
   r.blocked_open = true;
 }
 
-void WormTracer::on_granted(WormId id, LaneId in_lane, LaneId out_lane,
-                            std::uint64_t cycle) {
-  WormRecord& r = rec(id);
-  WORMSIM_DCHECK(!r.stages.empty());
-  StageSpan& stage = r.stages.back();
-  WORMSIM_DCHECK(stage.in_lane == in_lane);
-  (void)in_lane;
-  stage.out_lane = out_lane;
-  stage.grant_cycle = cycle;
-  r.blocked_open = false;
-  lane_holder_[out_lane] = id;
-}
-
-void WormTracer::on_lane_released(LaneId out_lane) {
-  lane_holder_[out_lane] = kNoWorm;
-}
-
-void WormTracer::on_credit_starved(WormId id, LaneId lane,
-                                   std::uint64_t cycles) {
-  lane_starved_[lane] += cycles;
-  if (id != kNoWorm) rec(id).starved_cycles += cycles;
-}
-
-void WormTracer::on_delivered(WormId id, std::uint64_t cycle) {
-  WormRecord& r = rec(id);
+void WormTracer::on_delivered(WormRecord& r, std::uint64_t cycle) {
   r.deliver_cycle = cycle;
   r.blocked_open = false;
   r.queue_cycles = r.inject_cycle - r.create_cycle;
@@ -139,12 +150,6 @@ void WormTracer::on_delivered(WormId id, std::uint64_t cycle) {
     header_wait += stage.grant_cycle - stage.arrive_cycle;
   }
   r.streaming_cycles = (r.deliver_cycle - r.inject_cycle) - header_wait;
-}
-
-void WormTracer::on_terminated(WormId id, std::uint64_t cycle) {
-  WormRecord& r = rec(id);
-  r.terminate_cycle = cycle;
-  r.blocked_open = false;
 }
 
 void WormTracer::set_measured(WormId id, bool measured) {
@@ -400,34 +405,20 @@ JsonValue worm_trace_summary_to_json(const WormTraceSummary& summary,
 std::size_t write_worm_trace_chrome(const WormTracer& tracer,
                                     std::ostream& os,
                                     const WormChromeOptions& options) {
-  const double scale = 1.0 / options.flits_per_microsecond;
-  JsonValue trace_events = JsonValue::array();
-  std::size_t slices = 0;
-  auto slice = [&](const std::string& name, const char* cat, WormId tid,
-                   std::uint64_t first, std::uint64_t duration) {
-    JsonValue event = JsonValue::object();
-    event.set("name", name);
-    event.set("cat", cat);
-    event.set("ph", "X");
-    event.set("ts", static_cast<double>(first) * scale);
-    event.set("dur", static_cast<double>(duration) * scale);
-    event.set("pid", 0);
-    event.set("tid", static_cast<std::int64_t>(tid));
-    ++slices;
-    return event;
-  };
+  ChromeTraceWriter writer(options.flits_per_microsecond);
   std::vector<WormId> shown;
   for (const WormRecord& r : tracer.records()) {
     if (!r.delivered()) continue;
     if (r.total_cycles() < options.min_total_cycles) continue;
     shown.push_back(r.id);
+    const auto tid = static_cast<std::int64_t>(r.id);
 
     // Lifetime slice [create, deliver]; children nest inside it.
-    JsonValue lifetime = slice(
+    JsonValue& lifetime = writer.slice(
         "worm " + std::to_string(r.id) + " " + std::to_string(r.src) +
             "->" + std::to_string(r.dst) + " len " +
             std::to_string(r.length),
-        "worm", r.id, r.create_cycle, r.total_cycles() + 1);
+        "worm", 0, tid, r.create_cycle, r.total_cycles() + 1);
     JsonValue args = JsonValue::object();
     args.set("queue_cycles", r.queue_cycles);
     args.set("routing_cycles", r.routing_cycles);
@@ -435,22 +426,19 @@ std::size_t write_worm_trace_chrome(const WormTracer& tracer,
     args.set("streaming_cycles", r.streaming_cycles);
     args.set("measured", r.measured);
     lifetime.set("args", std::move(args));
-    trace_events.push_back(std::move(lifetime));
 
     if (r.queue_cycles > 0) {
-      trace_events.push_back(
-          slice("queue", "queue", r.id, r.create_cycle, r.queue_cycles));
+      writer.slice("queue", "queue", 0, tid, r.create_cycle, r.queue_cycles);
     }
     for (std::size_t k = 0; k < r.stages.size(); ++k) {
       const StageSpan& stage = r.stages[k];
       // [arrive, grant]: the header's whole residence as an unrouted
       // header at this stage, denials and the grant cycle included.
-      trace_events.push_back(slice(
-          "stage " + std::to_string(k) + " @ lane " +
-              std::to_string(stage.in_lane) + " -> " +
-              std::to_string(stage.out_lane),
-          "routing", r.id, stage.arrive_cycle,
-          stage.grant_cycle - stage.arrive_cycle + 1));
+      writer.slice("stage " + std::to_string(k) + " @ lane " +
+                       std::to_string(stage.in_lane) + " -> " +
+                       std::to_string(stage.out_lane),
+                   "routing", 0, tid, stage.arrive_cycle,
+                   stage.grant_cycle - stage.arrive_cycle + 1);
     }
     for (const BlockedInterval& interval : r.blocked) {
       const std::string culprit =
@@ -459,51 +447,31 @@ std::size_t write_worm_trace_chrome(const WormTracer& tracer,
               : interval.culprit_worm == kNoWorm
                     ? std::string("faulty lane")
                     : "worm " + std::to_string(interval.culprit_worm);
-      trace_events.push_back(slice(
-          "blocked on " + culprit + " @ lane " +
-              std::to_string(interval.culprit_lane) + " (depth " +
-              std::to_string(interval.chain_depth) + ")",
-          "blocked", r.id, interval.first_cycle, interval.cycles()));
+      writer.slice("blocked on " + culprit + " @ lane " +
+                       std::to_string(interval.culprit_lane) + " (depth " +
+                       std::to_string(interval.chain_depth) + ")",
+                   "blocked", 0, tid, interval.first_cycle,
+                   interval.cycles());
     }
     // Tail streaming after the last grant (wormhole) or after injection
     // for hop-wait-free SF packets; derived, but nice in the viewer.
     if (!r.stages.empty()) {
       const std::uint64_t last_grant = r.stages.back().grant_cycle;
       if (r.deliver_cycle > last_grant) {
-        trace_events.push_back(slice("streaming", "streaming", r.id,
-                                     last_grant + 1,
-                                     r.deliver_cycle - last_grant));
+        writer.slice("streaming", "streaming", 0, tid, last_grant + 1,
+                     r.deliver_cycle - last_grant);
       }
     }
   }
 
   if (options.metadata) {
-    JsonValue process = JsonValue::object();
-    process.set("name", "process_name");
-    process.set("ph", "M");
-    process.set("pid", 0);
-    JsonValue pargs = JsonValue::object();
-    pargs.set("name", "worms");
-    process.set("args", std::move(pargs));
-    trace_events.push_back(std::move(process));
+    writer.name(0, -1, "worms");
     for (WormId id : shown) {
-      JsonValue thread = JsonValue::object();
-      thread.set("name", "thread_name");
-      thread.set("ph", "M");
-      thread.set("pid", 0);
-      thread.set("tid", static_cast<std::int64_t>(id));
-      JsonValue targs = JsonValue::object();
-      targs.set("name", "worm " + std::to_string(id));
-      thread.set("args", std::move(targs));
-      trace_events.push_back(std::move(thread));
+      writer.name(0, id, "worm " + std::to_string(id));
     }
   }
-
-  JsonValue document = JsonValue::object();
-  document.set("traceEvents", std::move(trace_events));
-  document.set("displayTimeUnit", "ms");
-  document.dump(os, /*indent=*/-1);
-  return slices;
+  writer.write(os);
+  return writer.slices();
 }
 
 }  // namespace wormsim::telemetry

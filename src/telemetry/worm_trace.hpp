@@ -29,12 +29,12 @@
 // waits (culprit = previous user of the channel finally taken), and
 // `streaming` is the hops x length transfer time — again summing exactly.
 //
-// Engine integration mirrors the other telemetry hooks: every call is
-// gated on a null pointer, so a trace-off run pays one predictable branch
-// per hook site, and the tracer draws no randomness and never feeds back
-// into the engine — golden digests are bitwise identical either way
-// (regression-tested).  Enable via TelemetryConfig::worm_trace or
-// WORMSIM_TRACE=1.
+// The wormhole engine drives the tracer as one sink of its observer
+// stream (telemetry/observer.hpp, on_event); the store-and-forward engine
+// calls the hooks below directly.  The tracer draws no randomness and
+// never feeds back into the engine — golden digests are bitwise
+// identical either way (regression-tested).  Enable via
+// TelemetryConfig::worm_trace or WORMSIM_TRACE=1.
 #pragma once
 
 #include <cstdint>
@@ -43,15 +43,12 @@
 #include <vector>
 
 #include "telemetry/json.hpp"
+#include "telemetry/observer.hpp"
 #include "topology/network.hpp"
 #include "util/stats.hpp"
 
 namespace wormsim::telemetry {
 
-/// Engine packet id (sim::PacketId without the layering inversion —
-/// telemetry must not include sim headers).
-using WormId = std::uint32_t;
-inline constexpr WormId kNoWorm = topology::kInvalidId;
 inline constexpr std::uint64_t kNoTraceCycle = ~std::uint64_t{0};
 
 /// WORMSIM_TRACE set to anything but "" or "0".
@@ -77,6 +74,7 @@ struct BlockedInterval {
   bool credit_starved = false;
 
   std::uint64_t cycles() const { return last_cycle - first_cycle + 1; }
+  bool operator==(const BlockedInterval&) const = default;
 };
 
 /// Header progress through one switch stage (wormhole only).
@@ -88,6 +86,7 @@ struct StageSpan {
   std::uint64_t blocked_cycles = 0;  ///< denials at this stage
 
   bool granted() const { return grant_cycle != kNoTraceCycle; }
+  bool operator==(const StageSpan&) const = default;
 };
 
 /// Full lifecycle of one message.
@@ -127,6 +126,8 @@ struct WormRecord {
   // Tracer scratch (meaningful only while the worm is in flight).
   bool blocked_open = false;      ///< last interval still extending
   std::uint64_t hop_arrival = 0;  ///< SF: arrival time at current hop
+
+  bool operator==(const WormRecord&) const = default;
 };
 
 /// Aggregated decomposition over delivered worms (summarize()).
@@ -176,7 +177,7 @@ struct WormTraceSummary {
 
 /// Records per-worm lifecycles from engine hook calls.  One tracer per
 /// engine run; not thread-safe (each engine owns its tracer).
-class WormTracer {
+class WormTracer final : public EngineObserver {
  public:
   /// Chain-depth walks and the histogram cap out here; deeper chains are
   /// reported as kMaxChainDepth (also guards pathological culprit cycles
@@ -185,40 +186,12 @@ class WormTracer {
 
   WormTracer(std::size_t lane_count, std::size_t channel_count);
 
-  // ---- Wormhole engine hooks -----------------------------------------
-  void on_created(WormId id, std::uint64_t cycle, std::uint64_t src,
-                  std::uint64_t dst, std::uint32_t length, bool measured);
-  void on_injected(WormId id, std::uint64_t cycle);
-  /// Header flit buffered at a switch input lane (a new stage begins).
-  void on_header_arrival(WormId id, topology::LaneId in_lane,
-                         std::uint64_t cycle);
-  /// Arbitration denied the header this cycle; culprit_lane is the first
-  /// busy candidate (kInvalidId never happens: an all-faulty candidate set
-  /// still names the first faulty lane, with culprit worm kNoWorm).
-  /// credit_starved marks denials whose culprit lane was flow-control
-  /// gated with buffer space free (virtual cut-through's whole-packet
-  /// grant gate) rather than occupied by another worm.
-  void on_blocked(WormId id, topology::LaneId in_lane,
-                  topology::LaneId culprit_lane, std::uint64_t cycle,
-                  bool credit_starved = false);
-  /// Arbitration granted out_lane; the worm holds it until tail crossing.
-  void on_granted(WormId id, topology::LaneId in_lane,
-                  topology::LaneId out_lane, std::uint64_t cycle);
-  /// Tail crossed out_lane: the allocation (and holder) is released.
-  void on_lane_released(topology::LaneId out_lane);
-  void on_delivered(WormId id, std::uint64_t cycle);
-  /// Runtime fault kill truncated the worm: closes any open blocked
-  /// interval and stamps the termination (the worm never delivers — its
-  /// attribution is "fault-terminated", distinct from contention and
-  /// credit starvation).  The engine releases the worm's lanes through
-  /// the usual on_lane_released calls.
-  void on_terminated(WormId id, std::uint64_t cycle);
-  /// A closed credit-starvation interval: worm `id`'s body spent `cycles`
-  /// flow-control gated at `lane` while the downstream FIFO had space.
-  /// Called once per interval when the gate lifts (id may be kNoWorm if
-  /// the sending lane had no allocation to attribute).
-  void on_credit_starved(WormId id, topology::LaneId lane,
-                         std::uint64_t cycles);
+  /// Wormhole engine events (also kCreated / kTerminated from the
+  /// store-and-forward engine).  Blocked denials extend the open interval
+  /// while its culprit lane, holder worm and starvation flag stay the
+  /// same; an all-faulty candidate set names the first faulty lane with
+  /// culprit worm kNoWorm.
+  void on_event(const EngineEvent& event) override;
 
   // ---- Store-and-forward engine hooks --------------------------------
   /// Measured flag is only known when the packet actually enqueues.
@@ -248,6 +221,9 @@ class WormTracer {
 
  private:
   std::uint32_t open_chain_depth(WormId culprit) const;
+  void on_blocked(const EngineEvent& e);
+  /// Stamps delivery and fills the four-component decomposition.
+  void on_delivered(WormRecord& r, std::uint64_t cycle);
   WormRecord& rec(WormId id) { return records_[id]; }
 
   std::vector<WormRecord> records_;           // indexed by WormId

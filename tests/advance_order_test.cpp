@@ -204,7 +204,7 @@ struct EngineTestPeer {
     f.all(r.telemetry_counters.lane_flits);
     part("result");
     f.all(r.telemetry_counters.lane_credit_starved);
-    if (e.wtrace_ != nullptr) f.all(e.wtrace_->lane_starved());
+    if (e.worm_tracer() != nullptr) f.all(e.worm_tracer()->lane_starved());
     part("starved_cycles");
     return parts;
   }
@@ -216,8 +216,8 @@ struct EngineTestPeer {
       f.u64(p.deliver_cycle());
       f.u64(p.terminate_cycle());
     }
-    if (e.wtrace_ != nullptr) {
-      for (const telemetry::WormRecord& w : e.wtrace_->records()) {
+    if (e.worm_tracer() != nullptr) {
+      for (const telemetry::WormRecord& w : e.worm_tracer()->records()) {
         f.u64(w.starved_cycles);
         f.u64(w.blocked_cycles);
         f.u64(w.stages.size());
@@ -693,8 +693,11 @@ TEST(AdvanceOrder, CasesExerciseTheirMechanisms) {
 // The consumer-first pass against the reference fixpoint on random
 // configurations it runs on (feed-forward networks, credit or cut-through
 // flow control with instant credit return): every piece of engine state
-// must agree after every cycle, and an attached trace sink must see the
-// same event sequence.
+// must agree after every cycle.  Traced trials attach the recording sink,
+// the worm tracer and the counters, which must see the same event
+// sequence, the same worm records and the same counters; untraced trials
+// run with every probe off, which keeps the single-lane pass off the
+// pass stamps.
 TEST(AdvanceOrder, ConsumerFirstMatchesFixpointEveryCycle) {
   util::Rng rng(20251017);
   const auto pick = [&rng](std::uint64_t n) { return rng.below(n); };
@@ -734,6 +737,8 @@ TEST(AdvanceOrder, ConsumerFirstMatchesFixpointEveryCycle) {
         1 + static_cast<std::uint32_t>(pick(4)),
         oc.scheme == kVct ? 12 : 6 + static_cast<std::uint32_t>(pick(20)));
     SimConfig config = case_sim_config(oc);
+    config.telemetry.counters = traced;
+    config.telemetry.worm_trace = traced;
     config.seed = 1000 + static_cast<std::uint64_t>(trial);
     config.warmup_cycles = 200;
     config.measure_cycles = 700;
@@ -750,8 +755,8 @@ TEST(AdvanceOrder, ConsumerFirstMatchesFixpointEveryCycle) {
     RecordingTraceSink sink_a;
     RecordingTraceSink sink_b;
     if (traced) {
-      single.set_trace_sink(&sink_a);
-      fixpoint.set_trace_sink(&sink_b);
+      single.set_observer(&sink_a);
+      fixpoint.set_observer(&sink_b);
     }
     const std::uint64_t total = config.total_cycles();
     while (single.cycle() < total) {
@@ -774,6 +779,14 @@ TEST(AdvanceOrder, ConsumerFirstMatchesFixpointEveryCycle) {
                   a.packet == b.packet && a.flit_seq == b.flit_seq &&
                   a.lane == b.lane)
           << "trace event " << i << " differs";
+    }
+    if (!traced) continue;
+    ASSERT_TRUE(single.telemetry_counters() == fixpoint.telemetry_counters());
+    const auto& records_a = single.worm_tracer()->records();
+    const auto& records_b = fixpoint.worm_tracer()->records();
+    ASSERT_EQ(records_a.size(), records_b.size());
+    for (std::size_t i = 0; i < records_a.size(); ++i) {
+      ASSERT_TRUE(records_a[i] == records_b[i]) << "worm " << i << " differs";
     }
   }
 }

@@ -355,7 +355,7 @@ TEST(FaultInjection, KillWithEmptyInjectionFifoReleasesTheRoute) {
   {
     Engine dry(net, *router, nullptr, config);
     RecordingTraceSink sink;
-    dry.set_trace_sink(&sink);
+    dry.set_observer(&sink);
     const PacketId id = dry.inject_message(0, 7, 40);
     ASSERT_TRUE(dry.run_until_idle(2'000));
     route = sink.route_of(id, net);

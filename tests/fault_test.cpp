@@ -5,6 +5,7 @@
 #include "analysis/fault.hpp"
 #include "routing/router.hpp"
 #include "sim/engine.hpp"
+#include "sim/fault_injection/plan.hpp"
 #include "topology/network.hpp"
 #include "util/rng.hpp"
 
@@ -153,7 +154,9 @@ TEST(Fault, EngineRoutesAroundFaultsInDmin) {
   config.measure_cycles = 1u << 30;
   config.drain_cycles = 0;
   sim::Engine engine(net, *router, nullptr, config);
-  engine.fail_channel(first_interstage(net));
+  sim::fault_injection::FaultPlan plan;  // kills at cycle 0: a static fault
+  sim::fault_injection::add_channel_kill(plan, net, first_interstage(net));
+  engine.set_fault_plan(std::move(plan));
 
   util::Rng rng(77);
   std::vector<sim::PacketId> ids;
@@ -178,7 +181,9 @@ TEST(Fault, EngineRoutesAroundUpFaultInBmin) {
   config.measure_cycles = 1u << 30;
   config.drain_cycles = 0;
   sim::Engine engine(net, *router, nullptr, config);
-  engine.fail_channel(first_interstage(net));
+  sim::fault_injection::FaultPlan plan;  // kills at cycle 0: a static fault
+  sim::fault_injection::add_channel_kill(plan, net, first_interstage(net));
+  engine.set_fault_plan(std::move(plan));
 
   util::Rng rng(78);
   std::vector<sim::PacketId> ids;
@@ -197,10 +202,9 @@ TEST(Fault, EngineRoutesAroundUpFaultInBmin) {
 TEST(FaultDeath, NodeLinksCannotFail) {
   const Network net =
       topology::build_network(make_config(NetworkKind::kTMIN, 2, 3));
-  const auto router = routing::make_router(net);
-  sim::SimConfig config;
-  sim::Engine engine(net, *router, nullptr, config);
-  EXPECT_DEATH(engine.fail_channel(net.injection_channel(0)),
+  sim::fault_injection::FaultPlan plan;
+  EXPECT_DEATH(sim::fault_injection::add_channel_kill(
+                   plan, net, net.injection_channel(0)),
                "one-port");
 }
 

@@ -21,12 +21,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include "routing/router.hpp"
 #include "sim/engine.hpp"
 #include "sim/store_forward.hpp"
+#include "telemetry/worm_trace.hpp"
 #include "topology/network.hpp"
 #include "traffic/workload.hpp"
 
@@ -142,12 +144,29 @@ traffic::WorkloadSpec golden_workload() {
   return workload;
 }
 
-SimResult run_case(const GoldenCase& gc, bool worm_trace = false,
+/// The probes a golden run attaches.  Golden runs pin the counters and
+/// the samples, so those two default on.
+struct Probes {
+  bool counters = true;
+  bool sampling = true;
+  bool worm_trace = false;
+  std::string heartbeat_dir;  ///< heartbeats every 512 cycles when set
+  telemetry::EngineObserver* observer = nullptr;  ///< wormhole cases only
+};
+
+SimResult run_case(const GoldenCase& gc, const Probes& probes,
                    std::uint32_t engine_threads = 1) {
   const topology::Network net = topology::build_network(golden_network(gc.kind));
   const auto router = routing::make_router(net);
   traffic::WorkloadSpec workload = golden_workload();
   traffic::StandardTraffic traffic(net, workload);
+  telemetry::TelemetryConfig telemetry;
+  telemetry.worm_trace = probes.worm_trace;
+  if (!probes.heartbeat_dir.empty()) {
+    telemetry.heartbeat_cycles = 512;
+    telemetry.heartbeat_dir = probes.heartbeat_dir;
+    telemetry.heartbeat_tag = "golden";
+  }
   if (gc.store_forward) {
     StoreForwardConfig config;
     config.seed = 7;
@@ -155,7 +174,7 @@ SimResult run_case(const GoldenCase& gc, bool worm_trace = false,
     config.warmup_cycles = 500;
     config.measure_cycles = 4'000;
     config.drain_cycles = 1'500;
-    config.telemetry.worm_trace = worm_trace;
+    config.telemetry = telemetry;
     StoreForwardEngine engine(net, *router, &traffic, config);
     return engine.run();
   }
@@ -166,14 +185,22 @@ SimResult run_case(const GoldenCase& gc, bool worm_trace = false,
   config.measure_cycles = 4'000;
   config.drain_cycles = 1'500;
   config.record_channel_utilization = true;
-  config.telemetry.counters = true;
-  config.telemetry.sampling = true;
+  config.telemetry = telemetry;
+  config.telemetry.counters = probes.counters;
+  config.telemetry.sampling = probes.sampling;
   config.telemetry.sample_interval_cycles = 256;
   config.telemetry.sample_capacity = 64;
-  config.telemetry.worm_trace = worm_trace;
   config.engine_threads = engine_threads;  // accepted and ignored
   Engine engine(net, *router, &traffic, config);
+  engine.set_observer(probes.observer);
   return engine.run();
+}
+
+SimResult run_case(const GoldenCase& gc, bool worm_trace = false,
+                   std::uint32_t engine_threads = 1) {
+  Probes probes;
+  probes.worm_trace = worm_trace;
+  return run_case(gc, probes, engine_threads);
 }
 
 std::uint64_t bits_of(double v) {
@@ -245,6 +272,75 @@ TEST(Golden, ThreadWidthsMatchCommittedSnapshot) {
       EXPECT_EQ(bits_of(r.latency_cycles.mean()),
                 kExpected[i].latency_mean_bits);
     }
+  }
+}
+
+std::string worm_summary_json(const SimResult& r) {
+  return telemetry::worm_trace_summary_to_json(
+             telemetry::summarize_worm_trace(*r.worm_trace), 20.0)
+      .dump_string();
+}
+
+/// A heartbeat stream without its three trailing wall-clock keys.
+std::vector<std::string> heartbeat_stream(const std::string& dir) {
+  std::ifstream in(dir + "/golden.ndjson");
+  EXPECT_TRUE(in.good()) << dir;
+  std::vector<std::string> lines;
+  std::string line;
+  while (std::getline(in, line)) {
+    lines.push_back(line.substr(0, line.find(",\"wall_seconds\":")));
+  }
+  return lines;
+}
+
+// Every probe attached at once — the recording sink, the worm tracer, the
+// counters, the sampler and the heartbeats behind one fan-out — must
+// reproduce the committed snapshot, and each sink must record exactly
+// what it records attached alone.
+TEST(Golden, AllProbesAtOnceMatchCommittedSnapshot) {
+  ASSERT_EQ(std::size(kExpected), std::size(kCases));
+  for (std::size_t i = 0; i < std::size(kCases); ++i) {
+    const GoldenCase& gc = kCases[i];
+    SCOPED_TRACE(gc.name);
+    const std::string dir = testing::TempDir() + "golden_probes_" + gc.name;
+    RecordingTraceSink all_events;
+    Probes all;
+    all.worm_trace = true;
+    all.heartbeat_dir = dir + "_all";
+    all.observer = &all_events;
+    const SimResult r = run_case(gc, all);
+    EXPECT_EQ(digest(r), kExpected[i].digest);
+    EXPECT_EQ(r.delivered_messages_total,
+              kExpected[i].delivered_messages_total);
+    EXPECT_EQ(bits_of(r.latency_cycles.mean()),
+              kExpected[i].latency_mean_bits);
+
+    Probes none;
+    none.counters = false;
+    none.sampling = false;
+    Probes worms = none;
+    worms.worm_trace = true;
+    EXPECT_EQ(worm_summary_json(run_case(gc, worms)), worm_summary_json(r));
+    Probes heartbeats = none;
+    heartbeats.heartbeat_dir = dir + "_alone";
+    run_case(gc, heartbeats);
+    EXPECT_EQ(heartbeat_stream(dir + "_all"), heartbeat_stream(dir + "_alone"));
+    if (gc.store_forward) continue;  // no flit-level probes there
+
+    RecordingTraceSink alone_events;
+    Probes recording = none;
+    recording.observer = &alone_events;
+    run_case(gc, recording);
+    EXPECT_GT(all_events.events().size(), 0u);
+    EXPECT_TRUE(all_events.events() == alone_events.events());
+    Probes counters = none;
+    counters.counters = true;
+    EXPECT_TRUE(run_case(gc, counters).telemetry_counters ==
+                r.telemetry_counters);
+    Probes samples = none;
+    samples.sampling = true;
+    EXPECT_TRUE(run_case(gc, samples).telemetry_samples ==
+                r.telemetry_samples);
   }
 }
 

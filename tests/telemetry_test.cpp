@@ -248,7 +248,7 @@ TEST(Heatmap, PrintSurvivesOutOfDomainUtilization) {
 // ---- Interval sampling --------------------------------------------------
 
 TEST(Sampler, RingBufferKeepsNewestInOrder) {
-  IntervalSampler sampler(4);
+  SampleSink sampler(4);
   for (std::uint64_t i = 1; i <= 10; ++i) {
     Sample s;
     s.cycle = i * 100;
@@ -267,7 +267,7 @@ TEST(Sampler, RingBufferKeepsNewestInOrder) {
 }
 
 TEST(Sampler, ZeroCapacityDropsEverything) {
-  IntervalSampler sampler(0);
+  SampleSink sampler(0);
   sampler.record(Sample{});
   EXPECT_EQ(sampler.size(), 0u);
   EXPECT_EQ(sampler.recorded(), 0u);
@@ -278,7 +278,7 @@ TEST(Sampler, ZeroCapacityDropsEverything) {
 // Exactly `capacity` records is the boundary: the ring is full but nothing
 // has been overwritten yet; the next record evicts exactly the oldest.
 TEST(Sampler, ExactCapacityBoundaryThenFirstEviction) {
-  IntervalSampler sampler(4);
+  SampleSink sampler(4);
   for (std::uint64_t i = 1; i <= 4; ++i) {
     Sample s;
     s.cycle = i * 10;
@@ -307,7 +307,7 @@ TEST(Sampler, ExactCapacityBoundaryThenFirstEviction) {
 }
 
 TEST(Sampler, SingleSlotRingAlwaysHoldsTheLatest) {
-  IntervalSampler sampler(1);
+  SampleSink sampler(1);
   for (std::uint64_t i = 1; i <= 5; ++i) {
     Sample s;
     s.cycle = i;
@@ -341,8 +341,8 @@ TEST(Sampler, EngineSamplesOnExactIntervalBoundaries) {
   const std::uint64_t total = config.total_cycles();
   const std::uint64_t expected = (total - 1) / 256 + 1;
   ASSERT_EQ(result.telemetry_samples.size(), expected);
-  EXPECT_EQ(engine.sampler().dropped(), 0u);
-  EXPECT_EQ(engine.sampler().recorded(), expected);
+  EXPECT_EQ(engine.sampler()->dropped(), 0u);
+  EXPECT_EQ(engine.sampler()->recorded(), expected);
   for (std::size_t i = 0; i < result.telemetry_samples.size(); ++i) {
     EXPECT_EQ(result.telemetry_samples[i].cycle, i * 256);
   }
@@ -365,7 +365,7 @@ TEST(Sampler, EngineRecordsMonotonicSnapshots) {
   const sim::SimResult result = engine.run();
 
   ASSERT_EQ(result.telemetry_samples.size(), 8u);
-  EXPECT_GT(engine.sampler().dropped(), 0u);
+  EXPECT_GT(engine.sampler()->dropped(), 0u);
   for (std::size_t i = 1; i < result.telemetry_samples.size(); ++i) {
     EXPECT_GT(result.telemetry_samples[i].cycle,
               result.telemetry_samples[i - 1].cycle);
@@ -464,7 +464,7 @@ TEST(ChromeTrace, TwoMessageRunProducesParsableSlices) {
   const auto router = routing::make_router(net);
   sim::Engine engine(net, *router, nullptr, manual_config());
   sim::RecordingTraceSink sink;
-  engine.set_trace_sink(&sink);
+  engine.set_observer(&sink);
   engine.inject_message(0, 6, 5);
   engine.inject_message(3, 1, 7);
   ASSERT_TRUE(engine.run_until_idle(1'000));

@@ -41,7 +41,7 @@ TEST(Trace, EventsCoverTheFullLifecycle) {
   const auto router = routing::make_router(net);
   Engine engine(net, *router, nullptr, manual_config());
   RecordingTraceSink sink;
-  engine.set_trace_sink(&sink);
+  engine.set_observer(&sink);
   const PacketId id = engine.inject_message(0, 7, 5);
   ASSERT_TRUE(engine.run_until_idle(1'000));
 
@@ -77,7 +77,7 @@ TEST(Trace, RouteMatchesAStaticPath) {
 
       Engine engine(net, *router, nullptr, manual_config());
       RecordingTraceSink sink;
-      engine.set_trace_sink(&sink);
+      engine.set_observer(&sink);
       const PacketId id = engine.inject_message(src, dst, 8);
       ASSERT_TRUE(engine.run_until_idle(1'000));
 
@@ -97,7 +97,7 @@ TEST(Trace, BodyFlitsFollowTheHeaderRoute) {
   const auto router = routing::make_router(net);
   Engine engine(net, *router, nullptr, manual_config());
   RecordingTraceSink sink;
-  engine.set_trace_sink(&sink);
+  engine.set_observer(&sink);
   const PacketId id = engine.inject_message(1, 6, 12);
   ASSERT_TRUE(engine.run_until_idle(1'000));
   // Every flit's lane sequence equals the header's lane sequence.
@@ -117,9 +117,9 @@ TEST(Trace, DetachingStopsEvents) {
   const auto router = routing::make_router(net);
   Engine engine(net, *router, nullptr, manual_config());
   RecordingTraceSink sink;
-  engine.set_trace_sink(&sink);
+  engine.set_observer(&sink);
   engine.inject_message(0, 3, 2);
-  engine.set_trace_sink(nullptr);
+  engine.set_observer(nullptr);
   ASSERT_TRUE(engine.run_until_idle(1'000));
   // Only the creation event was observed.
   ASSERT_EQ(sink.events().size(), 1u);

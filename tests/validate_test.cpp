@@ -62,7 +62,7 @@ struct EngineTestPeer {
   static util::DenseBitset& channel_faulty(Engine& e) {
     return e.channel_faulty_;
   }
-  static bool& fault_any(Engine& e) { return e.fault_any_; }
+  static bool& fault_any(Engine& e) { return e.fault_state_.applied; }
   static std::vector<topology::LaneId>& switch_input_lanes(Engine& e) {
     return e.switch_input_lanes_;
   }
